@@ -37,6 +37,7 @@ from .core import (
     Dnf,
     PricedBoolError,
     cost_json,
+    cost_text,
     enumerate_proofs,
     looks_like_table_text,
     majority,
@@ -52,7 +53,6 @@ from .core import (
     unit_costs,
 )
 from .harness import (
-    RatioReport,
     adversarial_ratio,
     competitive_ratio_exhaustive,
     greedy_strategy,
@@ -60,6 +60,7 @@ from .harness import (
 )
 from .lp import (
     FamilySpec,
+    _polarities,
     branch_proof_size,
     find_certified_switch,
     lp_guided_strategy,
@@ -172,7 +173,7 @@ def load_costs(token: Optional[str], src: FunctionSource, seed: int) -> tuple[Co
 
 def _cap(args, fallback: int) -> int:
     cap = getattr(args, "cap_n", None)
-    return min(fallback, cap) if cap else fallback
+    return min(fallback, cap) if cap is not None else fallback
 
 
 def _verdict(name: str, ok: bool, detail: str = "") -> dict:
@@ -203,7 +204,7 @@ def _finish(args, command: str, inputs: dict, results: dict,
         "seed": getattr(args, "seed", 0),
         "caps": {"proof_enumeration": PROOF_ENUM_CAP, "search": SEARCH_CAP},
     }
-    if getattr(args, "cap_n", None):
+    if getattr(args, "cap_n", None) is not None:
         meta["caps"]["requested"] = args.cap_n
     report = {"command": command, "inputs": inputs, "results": results,
               "verdicts": verdicts, "meta": meta}
@@ -341,7 +342,7 @@ def cmd_sym(args) -> int:
     for b in blocks(profile):
         lines.append(f"block value {b.value}: ones {b.lower}..{b.upper} (width {b.width})")
     lines += [f"spread: {width}", f"formula at {cost_label} costs: {ratio_string(formula)}",
-              f"extremal costs: {_cost_line(extremal)}"]
+              f"extremal costs: {cost_text(extremal)}"]
     verdicts = [
         _verdict("formula bounded by the spread", formula <= width,
                  f"{ratio_string(formula)} <= {width}"),
@@ -350,10 +351,6 @@ def cmd_sym(args) -> int:
     ]
     return _finish(args, "sym", {"f": src.label, "cost": cost_label},
                    results, verdicts, lines)
-
-
-def _cost_line(costs: CostVector) -> str:
-    return "(" + ", ".join(str(c) for c in costs.values) + ")"
 
 
 def cmd_lp(args) -> int:
@@ -408,20 +405,15 @@ def cmd_lp(args) -> int:
     raise PricedBoolError(f"unknown lp subcommand {args.lp_command!r}")
 
 
-def _infer_switches(dnf: Dnf) -> frozenset:
-    pos, neg = set(), set()
-    for term in dnf.terms:
-        for lit in term:
-            (neg if lit.negated else pos).add(lit.variable)
-    return frozenset(pos & neg)
-
-
 def _lp_switch_report(args, src: FunctionSource) -> int:
     if src.dnf is None:
         raise PricedBoolError("the switch analysis needs a DNF source "
                               "(a generator or DNF text, not a truth table)")
     dnf, f = src.dnf, src.f
-    switches = src.switches if src.switches is not None else _infer_switches(dnf)
+    switches = src.switches
+    if switches is None:
+        pos, neg = _polarities(dnf)
+        switches = frozenset(pos & neg)
     if not switches:
         raise PricedBoolError("no variable appears in both polarities; "
                               "there is no switch to analyze")
@@ -514,19 +506,8 @@ def cmd_gen(args) -> int:
         kind, text = "dnf", src.dnf.text() + "\n"
     else:
         kind, text = "table", table_to_text(src.f)
-    sys.stdout.write(text)
-    if args.json:
-        report = {
-            "command": "gen",
-            "inputs": {"f": src.label},
-            "results": {"kind": kind, "text": text},
-            "verdicts": [],
-            "meta": {"version": __version__,
-                     "caps": {"proof_enumeration": PROOF_ENUM_CAP, "search": SEARCH_CAP}},
-        }
-        with open(args.json, "w") as fh:
-            fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return 0
+    return _finish(args, "gen", {"f": src.label}, {"kind": kind, "text": text}, [],
+                   [text.rstrip("\n")])
 
 
 def _common_flags(p: argparse.ArgumentParser, function: bool = True) -> None:

@@ -3,7 +3,7 @@
 Truth-table functions, partial assignments, exact rational cost vectors,
 and the certificate machinery on top of them: proofs (variable sets that
 pin the function value down for some witness), minterms and maxterms,
-cheapest-proof search, and crossing certificates for monotone functions.
+and cheapest-proof search.
 
 Conventions used throughout the package:
 
@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -57,6 +57,11 @@ class ParseError(PricedBoolError):
 def _require_cap(n: int, cap: int, what: str) -> None:
     if n > cap:
         raise CapExceeded(f"instance too large for {what}: n={n} exceeds cap {cap}")
+
+
+def _require_table_cap(n: int) -> None:
+    if n > TABLE_CAP:
+        raise CapExceeded(f"instance too large: n={n} exceeds table cap {TABLE_CAP}")
 
 
 # ---------------------------------------------------------------------------
@@ -128,24 +133,12 @@ class PartialAssignment:
             raise ValueError("value must be 0 or 1")
         return PartialAssignment(self.n, self.mask | 1 << var, self.bits | value << var)
 
-    def union(self, other: "PartialAssignment") -> "PartialAssignment":
-        """Combine two assignments; they must agree where they overlap."""
-        if self.n != other.n:
-            raise ValueError("assignments over different variable counts")
-        common = self.mask & other.mask
-        if (self.bits ^ other.bits) & common:
-            raise ValueError("assignments disagree on a shared variable")
-        return PartialAssignment(self.n, self.mask | other.mask, self.bits | other.bits)
-
     def restrict_to(self, variables: Iterable[int]) -> "PartialAssignment":
         keep = 0
         for v in variables:
             keep |= 1 << v
         keep &= self.mask
         return PartialAssignment(self.n, keep, self.bits & keep)
-
-    def key(self) -> tuple[int, int, int]:
-        return (self.n, self.mask, self.bits)
 
     def bit_string(self) -> str:
         """Render a full assignment as the values of x0, x1, ... left to right."""
@@ -187,16 +180,6 @@ class CostVector:
         total = Fraction(0)
         for v in variables:
             total += self.values[v]
-        return total
-
-    def cost_of_mask(self, mask: int) -> Fraction:
-        total = Fraction(0)
-        v = 0
-        while mask:
-            if mask & 1:
-                total += self.values[v]
-            mask >>= 1
-            v += 1
         return total
 
     def sorted_order(self) -> tuple[int, ...]:
@@ -243,6 +226,11 @@ def parse_cost_json(text: str, n: int) -> CostVector:
 
 def cost_json(costs: CostVector) -> dict:
     return {f"x{v}": str(c) for v, c in enumerate(costs.values)}
+
+
+def cost_text(costs: CostVector) -> str:
+    """The costs as one line, ``(c0, c1, ...)``."""
+    return "(" + ", ".join(str(c) for c in costs.values) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +283,7 @@ class Dnf:
                 seen.add(lit.variable)
 
     def function(self) -> "BooleanFunction":
+        _require_table_cap(self.n)
         idx = np.arange(1 << self.n, dtype=np.int64)
         table = np.zeros(1 << self.n, dtype=bool)
         for term in self.terms:
@@ -382,8 +371,7 @@ class BooleanFunction:
         bits = size.bit_length() - 1
         if n is not None and n != bits:
             raise ValueError(f"table of length {size} does not match n={n}")
-        if bits > TABLE_CAP:
-            raise CapExceeded(f"instance too large: n={bits} exceeds table cap {TABLE_CAP}")
+        _require_table_cap(bits)
         arr.setflags(write=False)
         self.n = bits
         self.table = arr
@@ -391,14 +379,8 @@ class BooleanFunction:
 
     @classmethod
     def constant(cls, n: int, value: int) -> "BooleanFunction":
+        _require_table_cap(n)
         return cls(np.full(1 << n, bool(value)))
-
-    @classmethod
-    def from_bits(cls, bits: str | Sequence[int]) -> "BooleanFunction":
-        return cls([int(b) for b in bits])
-
-    def key(self) -> tuple[int, bytes]:
-        return self._key
 
     def __eq__(self, other):
         return isinstance(other, BooleanFunction) and self._key == other._key
@@ -642,74 +624,35 @@ def minimal_witness_domains(f: BooleanFunction, cap: int = PROOF_ENUM_CAP) -> tu
 # minterms and maxterms
 
 
-def minterms(f: BooleanFunction, cap: int = PROOF_ENUM_CAP) -> tuple[frozenset, ...]:
-    """Minimal literal sets that force f to 1 when all are made true."""
+def _certificates(f: BooleanFunction, cap: int, forced: int) -> tuple[frozenset, ...]:
+    """Minimal literal sets whose literals, all set to `forced`, force f to `forced`."""
     _require_cap(f.n, cap, "certificate enumeration")
     if f.is_constant() is not None:
         raise ConstantFunctionError(f"constant function (value {f.is_constant()}) has no certificates")
+    select = (lambda const, val: const & val) if forced else (lambda const, val: const & ~val)
     out = []
-    for mask, flags in _sweep_minimal(f, lambda const, val: const & val):
+    for mask, flags in _sweep_minimal(f, select):
         variables = _mask_vars(mask)
         for combo in np.flatnonzero(flags):
+            # the literal on x_v that has value `forced` under the combo
             out.append(frozenset(
-                Literal(v, negated=not (int(combo) >> t & 1))
+                Literal(v, negated=(int(combo) >> t & 1) != forced)
                 for t, v in enumerate(variables)))
     return tuple(out)
+
+
+def minterms(f: BooleanFunction, cap: int = PROOF_ENUM_CAP) -> tuple[frozenset, ...]:
+    """Minimal literal sets that force f to 1 when all are made true."""
+    return _certificates(f, cap, 1)
 
 
 def maxterms(f: BooleanFunction, cap: int = PROOF_ENUM_CAP) -> tuple[frozenset, ...]:
     """Minimal literal sets that force f to 0 when all are made false."""
-    _require_cap(f.n, cap, "certificate enumeration")
-    if f.is_constant() is not None:
-        raise ConstantFunctionError(f"constant function (value {f.is_constant()}) has no certificates")
-    out = []
-    for mask, flags in _sweep_minimal(f, lambda const, val: const & ~val):
-        variables = _mask_vars(mask)
-        for combo in np.flatnonzero(flags):
-            # literal is made false: variable value 1 means the literal was negated
-            out.append(frozenset(
-                Literal(v, negated=bool(int(combo) >> t & 1))
-                for t, v in enumerate(variables)))
-    return tuple(out)
+    return _certificates(f, cap, 0)
 
 
 def literal_set_key(term: Iterable[Literal]) -> tuple:
     return tuple(sorted((lit.variable, lit.negated) for lit in term))
-
-
-def crossing_certificate(f: BooleanFunction, certificate: Iterable, variable: int,
-                         certificate_kind: str = "minterm") -> frozenset:
-    """For monotone f, the opposite-side certificate meeting the given one only at `variable`.
-
-    Certificates of a monotone function carry positive literals only, so
-    plain variable sets are accepted too.  The lexicographically least
-    qualifying certificate is returned as a set of literals.
-    """
-    if not f.is_monotone():
-        raise PricedBoolError("crossing certificates require a monotone function")
-    cert_vars = set()
-    for item in certificate:
-        if isinstance(item, Literal):
-            if item.negated:
-                raise PricedBoolError("monotone certificates cannot contain negated literals")
-            cert_vars.add(item.variable)
-        else:
-            cert_vars.add(int(item))
-    if variable not in cert_vars:
-        raise ValueError(f"x{variable} is not in the given certificate")
-    if certificate_kind == "minterm":
-        own, other = minterms(f), maxterms(f)
-    elif certificate_kind == "maxterm":
-        own, other = maxterms(f), minterms(f)
-    else:
-        raise ValueError("certificate_kind must be 'minterm' or 'maxterm'")
-    if frozenset(Literal(v) for v in cert_vars) not in own:
-        raise ValueError(f"the given set is not a {certificate_kind} of f")
-    candidates = [c for c in other
-                  if {lit.variable for lit in c} & cert_vars == {variable}]
-    if not candidates:
-        raise PricedBoolError("no crossing certificate found")
-    return min(candidates, key=literal_set_key)
 
 
 # ---------------------------------------------------------------------------
@@ -724,9 +667,9 @@ def _subset_costs(n: int, costs: CostVector) -> list[Fraction]:
     return total
 
 
-def _subset_order(n: int, costs: CostVector) -> list[int]:
-    total = _subset_costs(n, costs)
-    return sorted(range(1 << n), key=lambda m: (total[m], m.bit_count(), m))
+def _subset_order(total: list[Fraction]) -> list[int]:
+    """Variable masks by nondecreasing cost, then size, then mask."""
+    return sorted(range(len(total)), key=lambda m: (total[m], m.bit_count(), m))
 
 
 def cheapest_proof(f: BooleanFunction, assignment: PartialAssignment,
@@ -741,7 +684,7 @@ def cheapest_proof(f: BooleanFunction, assignment: PartialAssignment,
     if not assignment.is_full:
         raise PricedBoolError("incomplete assignment: cheapest_proof needs every value")
     total = _subset_costs(f.n, costs)
-    for mask in sorted(range(1 << f.n), key=lambda m: (total[m], m.bit_count(), m)):
+    for mask in _subset_order(total):
         part = PartialAssignment(f.n, mask, assignment.bits & mask)
         if f.is_determined(part) is None:
             continue
@@ -764,7 +707,7 @@ def cheapest_proof_costs(f: BooleanFunction, costs: CostVector,
     out: list[Optional[Fraction]] = [None] * size
     remaining = size
     total = _subset_costs(n, costs)
-    for mask in sorted(range(size), key=lambda m: (total[m], m.bit_count(), m)):
+    for mask in _subset_order(total):
         const, _ = _det_arrays(f, mask)
         if not const.any():
             continue
@@ -782,20 +725,22 @@ def cheapest_proof_costs(f: BooleanFunction, costs: CostVector,
 # named functions and generators
 
 
-def parity(n: int) -> BooleanFunction:
+def _popcounts(n: int) -> np.ndarray:
+    """The number of ones in every assignment index of an n-variable table."""
+    _require_table_cap(n)
     idx = np.arange(1 << n, dtype=np.int64)
     ones = np.zeros(1 << n, dtype=np.int64)
     for v in range(n):
         ones += (idx >> v) & 1
-    return BooleanFunction((ones & 1).astype(bool))
+    return ones
+
+
+def parity(n: int) -> BooleanFunction:
+    return BooleanFunction((_popcounts(n) & 1).astype(bool))
 
 
 def majority(n: int) -> BooleanFunction:
-    idx = np.arange(1 << n, dtype=np.int64)
-    ones = np.zeros(1 << n, dtype=np.int64)
-    for v in range(n):
-        ones += (idx >> v) & 1
-    return BooleanFunction(ones * 2 > n)
+    return BooleanFunction(_popcounts(n) * 2 > n)
 
 
 def random_function(rng, n: int, nonconstant: bool = True) -> BooleanFunction:

@@ -70,15 +70,6 @@ class EvaluationTranscript:
     final_value: int
     total_cost: Fraction
 
-    def read_variables(self) -> tuple[int, ...]:
-        return tuple(r.variable for r in self.reads)
-
-    def assignment(self, n: int) -> PartialAssignment:
-        return PartialAssignment.of(n, {r.variable: r.value for r in self.reads})
-
-
-RatioValue = "Fraction | float"
-
 
 @dataclass(frozen=True)
 class RatioReport:
@@ -187,6 +178,8 @@ def competitive_ratio_exhaustive(algorithm: EvaluationAlgorithm, f: BooleanFunct
 def adversarial_ratio(algorithm: EvaluationAlgorithm, f: BooleanFunction,
                       adversary: Adversary, costs: CostVector) -> RatioReport:
     """Play a strategy against an adversary; a lower-bound witness for the ratio."""
+    if costs.n != f.n:
+        raise ValueError("mismatched sizes between function and costs")
     history: list[tuple[int, int]] = []
     seen: set[int] = set()
     part = PartialAssignment(f.n)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -416,6 +416,15 @@ def switch_example() -> tuple[Dnf, frozenset]:
     return Dnf(5, (high, low)), frozenset({4})
 
 
+def _polarities(dnf: Dnf) -> tuple[set, set]:
+    """The variables that occur plain, and those that occur negated."""
+    pos, neg = set(), set()
+    for term in dnf.terms:
+        for lit in term:
+            (neg if lit.negated else pos).add(lit.variable)
+    return pos, neg
+
+
 def _polarity_map(dnf: Dnf, switches: Iterable[int]) -> tuple[frozenset, dict]:
     """Check the switch hypothesis; map plain variables to their pure polarity.
 
@@ -427,11 +436,7 @@ def _polarity_map(dnf: Dnf, switches: Iterable[int]) -> tuple[frozenset, dict]:
     for z in switch_set:
         if not 0 <= z < dnf.n:
             raise ValueError(f"switch variable x{z} out of range")
-    pos = set()
-    neg = set()
-    for term in dnf.terms:
-        for lit in term:
-            (neg if lit.negated else pos).add(lit.variable)
+    pos, neg = _polarities(dnf)
     for z in sorted(switch_set):
         if z not in pos or z not in neg:
             raise PricedBoolError(f"switch variable x{z} must appear both plain and negated")

@@ -10,12 +10,12 @@ win through a fixed assignment of the outside variables (survivors).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .core import (
     BooleanFunction,
     ConstantFunctionError,
+    ContractViolation,
     CostVector,
     Dnf,
     Literal,
@@ -261,7 +261,7 @@ class PivotTwoPhase:
         for var in self.order:
             if var not in seen and var not in skip:
                 return var
-        raise PricedBoolError("contract violation: no variable left to read")
+        raise ContractViolation("contract violation: no variable left to read")
 
 
 def pivot_two_phase(pairs: PivotPairs, costs: CostVector) -> PivotTwoPhase:

@@ -40,54 +40,21 @@ def simplex_max(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction],
     for bi in b:
         if bi < 0:
             raise ValueError("simplex_max needs b >= 0")
-    width = n + m + 1
     rows = []
     for i in range(m):
         row = [Fraction(x) for x in a[i]] + [ZERO] * m + [Fraction(b[i])]
         row[n + i] = ONE
         rows.append(row)
-    obj = [Fraction(x) for x in c] + [ZERO] * (m + 1)
+    # the shared loop minimizes, so it runs on the negated objective row
+    obj = [-Fraction(x) for x in c] + [ZERO] * (m + 1)
     basis = [n + i for i in range(m)]
-
-    while True:
-        enter = -1
-        for j in range(n + m):
-            if obj[j] > 0:
-                enter = j
-                break
-        if enter < 0:
-            break
-        leave = -1
-        best = None
-        for i in range(m):
-            coef = rows[i][enter]
-            if coef > 0:
-                ratio = rows[i][width - 1] / coef
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
-        if leave < 0:
-            raise ValueError("unbounded linear program")
-        pivot = rows[leave][enter]
-        if pivot != ONE:
-            rows[leave] = [x / pivot for x in rows[leave]]
-        prow = rows[leave]
-        for i in range(m):
-            if i != leave and rows[i][enter] != 0:
-                coef = rows[i][enter]
-                rows[i] = [x - coef * p for x, p in zip(rows[i], prow)]
-        if obj[enter] != 0:
-            coef = obj[enter]
-            obj = [x - coef * p for x, p in zip(obj, prow)]
-        basis[leave] = enter
+    _optimize(rows, obj, basis, n + m)
 
     solution = [ZERO] * n
     for i, var in enumerate(basis):
         if var < n:
-            solution[var] = rows[i][width - 1]
-    value = -obj[width - 1]
-    duals = [-obj[n + i] for i in range(m)]
-    return SimplexResult(value, solution, duals)
+            solution[var] = rows[i][-1]
+    return SimplexResult(obj[-1], solution, obj[n:n + m])
 
 
 def _pivot(rows, obj, basis, leave: int, enter: int) -> None:

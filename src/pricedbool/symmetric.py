@@ -20,6 +20,7 @@ from .core import (
     ConstantFunctionError,
     CostVector,
     PartialAssignment,
+    _popcounts,
 )
 from .harness import History, ratio_of
 
@@ -68,12 +69,7 @@ class SymmetricProfile:
         return SymmetricProfile(tuple(reversed(self.values)))
 
     def function(self) -> BooleanFunction:
-        idx = np.arange(1 << self.n, dtype=np.int64)
-        ones = np.zeros(1 << self.n, dtype=np.int64)
-        for v in range(self.n):
-            ones += (idx >> v) & 1
-        table = np.array(self.values, dtype=bool)[ones]
-        return BooleanFunction(table)
+        return BooleanFunction(np.array(self.values, dtype=bool)[_popcounts(self.n)])
 
     def text(self) -> str:
         return "".join(str(v) for v in self.values)
@@ -81,10 +77,7 @@ class SymmetricProfile:
 
 def profile_of(f: BooleanFunction) -> Optional[SymmetricProfile]:
     """The profile of f, or None when f is not symmetric."""
-    idx = np.arange(1 << f.n, dtype=np.int64)
-    ones = np.zeros(1 << f.n, dtype=np.int64)
-    for v in range(f.n):
-        ones += (idx >> v) & 1
+    ones = _popcounts(f.n)
     values = []
     for k in range(f.n + 1):
         group = f.table[ones == k]

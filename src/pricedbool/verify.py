@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import core, harness, lp, quadratic, symmetric
-from .core import BooleanFunction, CostVector, PartialAssignment
+from .core import BooleanFunction, PartialAssignment
 
 __all__ = [
     "SUITE_NAMES",
@@ -44,10 +44,6 @@ def _report(name: str, cases: int, failures: list, **extra) -> dict:
     }
     out.update(extra)
     return out
-
-
-def _cost_text(costs: CostVector) -> str:
-    return "(" + ", ".join(str(c) for c in costs.values) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +96,7 @@ def check_symmetric_formula(seed: int) -> dict:
             forced = harness.adversarial_ratio(greedy, f, adversary, costs).ratio
             if not formula == swept == forced:
                 failures.append(
-                    f"profile {profile.text()} costs {_cost_text(costs)}: formula "
+                    f"profile {profile.text()} costs {core.cost_text(costs)}: formula "
                     f"{harness.ratio_string(formula)}, sweep {harness.ratio_string(swept)}, "
                     f"forced {harness.ratio_string(forced)}")
     return _report("greedy ratio equals the symmetric formula", cases, failures)
@@ -121,7 +117,7 @@ def check_extremal_spread(seed: int) -> dict:
             cases += 1
             value = symmetric.ratio_formula(profile, costs)
             if not value <= s:
-                failures.append(f"profile {profile.text()} costs {_cost_text(costs)}: "
+                failures.append(f"profile {profile.text()} costs {core.cost_text(costs)}: "
                                 f"formula {harness.ratio_string(value)} > spread {s}")
     return _report("the spread caps the symmetric formula", cases, failures)
 
@@ -142,7 +138,7 @@ def check_parity(seed: int) -> dict:
                                      ("lpa", lp.lp_guided_strategy(f, costs))):
                 ratio = harness.competitive_ratio_exhaustive(algorithm, f, costs).ratio
                 if ratio != 1:
-                    failures.append(f"parity n={n} {label} costs {_cost_text(costs)}: "
+                    failures.append(f"parity n={n} {label} costs {core.cost_text(costs)}: "
                                     f"ratio {harness.ratio_string(ratio)}")
     return _report("parity evaluates at ratio one", cases, failures)
 
@@ -190,7 +186,7 @@ def check_pivot_two_phase(seed: int) -> dict:
             ratio = harness.competitive_ratio_exhaustive(
                 quadratic.pivot_two_phase(pairs, costs), f, costs).ratio
             if not ratio <= s + 1:
-                failures.append(f"s={s} costs {_cost_text(costs)}: "
+                failures.append(f"s={s} costs {core.cost_text(costs)}: "
                                 f"ratio {harness.ratio_string(ratio)} > {s + 1}")
             elif ratio > best:
                 best = ratio
@@ -343,7 +339,7 @@ def check_lpa_restriction_bound(seed: int) -> dict:
             ratio = harness.competitive_ratio_exhaustive(
                 lp.lp_guided_strategy(f, costs), f, costs).ratio
             if not ratio <= bound:
-                failures.append(f"sample {index} (n={n}) costs {_cost_text(costs)}: "
+                failures.append(f"sample {index} (n={n}) costs {core.cost_text(costs)}: "
                                 f"ratio {harness.ratio_string(ratio)} > {bound}")
     return _report("guided reader within the restriction sweep", cases, failures)
 

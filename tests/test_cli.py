@@ -185,3 +185,17 @@ def test_verify_suite_runs_deterministically(capsys):
 def test_verify_unknown_suite_is_an_argparse_error(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "everything"])
+
+
+@pytest.mark.parametrize("token, n", [("parity:40", 40), ("sym:" + "01" * 20 + "1", 40),
+                                      ("x40", 41)])
+def test_tables_past_the_cap_are_refused_before_allocation(capsys, token, n):
+    code, _, err = run_cli(capsys, "analyze", "--f", token)
+    assert code == 2
+    assert err == f"error: instance too large: n={n} exceeds table cap 24\n"
+
+
+def test_cap_n_zero_is_honoured(capsys):
+    code, _, err = run_cli(capsys, "ratio", "--f", "sym:0110", "--cap-n", "0")
+    assert code == 2
+    assert "n=3 exceeds cap 0" in err

@@ -213,3 +213,6 @@ def test_constant_has_no_certificates():
 def test_caps_are_enforced():
     with pytest.raises(CapExceeded):
         enumerate_proofs(parity(3), cap=2)
+    # 2**40 entries would not fit in memory: the cap is checked before allocating
+    with pytest.raises(CapExceeded, match="n=40 exceeds table cap 24"):
+        BooleanFunction.constant(40, 0)

@@ -152,3 +152,16 @@ def test_extremal_search_returns_the_argmax():
               for c in family]
     assert report.ratio == max(others)
     assert costs in family
+
+
+def test_adversarial_ratio_rejects_mismatched_costs():
+    class Zeros:
+        def answer(self, variable, history):
+            return 0
+
+        def finalize(self, history):
+            return PartialAssignment.full_from_index(2, 0)
+
+    f = parse_dnf("x0 & x1").function()
+    with pytest.raises(ValueError, match="mismatched sizes"):
+        adversarial_ratio(greedy_strategy(unit_costs(3)), f, Zeros(), unit_costs(3))

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from pricedbool.core import (
+    ContractViolation,
     CostVector,
     PartialAssignment,
     PricedBoolError,
@@ -129,3 +130,10 @@ def test_two_phase_within_s_plus_one():
 def test_two_phase_rejects_mismatched_costs():
     with pytest.raises(ValueError):
         pivot_two_phase(make_pivot_pairs(2), unit_costs(3))
+
+
+def test_two_phase_with_nothing_left_to_read_is_a_contract_violation():
+    pairs = make_pivot_pairs(1)
+    strategy = pivot_two_phase(pairs, unit_costs(3))
+    with pytest.raises(ContractViolation, match="no variable left"):
+        strategy.next_query(((0, 0), (1, 0), (2, 0)))

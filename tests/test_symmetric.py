@@ -10,6 +10,7 @@ from pricedbool.core import (
     ConstantFunctionError,
     CostVector,
     PartialAssignment,
+    cheapest_proof_costs,
     majority,
     parity,
     random_cost_vector,
@@ -19,6 +20,7 @@ from pricedbool.harness import adversarial_ratio, competitive_ratio_exhaustive, 
 from pricedbool.symmetric import (
     SymmetricProfile,
     blocks,
+    cheapest_proof_by_counts,
     determined_by_counts,
     extremal_cost_vector,
     profile_of,
@@ -136,3 +138,18 @@ def _forced_value(f, zeros, ones):
 def test_counts_out_of_range_rejected():
     with pytest.raises(ValueError):
         determined_by_counts(profile_of(majority(3)), 2, 2)
+
+
+def test_proof_cost_by_counts_matches_the_table_sweep():
+    rng = random.Random(41)
+    pairs = 0
+    for n in range(1, 7):
+        for code in range(1, (1 << (n + 1)) - 1):
+            p = SymmetricProfile.from_string(format(code, f"0{n + 1}b"))
+            costs = random_cost_vector(n, rng)
+            table = cheapest_proof_costs(p.function(), costs)
+            for index in range(1 << n):
+                full = PartialAssignment.full_from_index(n, index)
+                assert cheapest_proof_by_counts(p, full, costs) == table[index], (p, costs, index)
+                pairs += 1
+    assert pairs == 10668
