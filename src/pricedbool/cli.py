@@ -26,7 +26,8 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from functools import cached_property, partial
+from typing import Callable, Optional
 
 from . import __version__
 from .core import (
@@ -36,14 +37,13 @@ from .core import (
     CostVector,
     Dnf,
     PricedBoolError,
+    _require_cap,
+    certificates,
     cost_json,
     cost_text,
-    enumerate_proofs,
     looks_like_table_text,
     majority,
     max_proof_size,
-    maxterms,
-    minterms,
     parity,
     parse_cost_json,
     parse_dnf,
@@ -73,7 +73,6 @@ from .lp import (
 )
 from .quadratic import (
     PivotPairs,
-    certificate_sizes,
     make_pivot_pairs,
     maxterm_adversary,
     maxterm_analysis,
@@ -95,14 +94,18 @@ GENERATORS = "fstar:<s>, g, family:<k>,<t>, parity:<n>, majority:<n>, sym:<bits>
 
 @dataclass
 class FunctionSource:
-    """A loaded function plus whatever structure its origin carries."""
+    """A loaded function, its table built on first use, plus its origin's structure."""
 
     label: str
-    f: BooleanFunction
+    build: Callable[[], BooleanFunction]
     dnf: Optional[Dnf] = None
     pairs: Optional[PivotPairs] = None
     family: Optional[FamilySpec] = None
     switches: Optional[frozenset] = None
+
+    @cached_property
+    def f(self) -> BooleanFunction:
+        return self.build()
 
 
 def _int_params(token: str, name: str, count: int) -> list[int]:
@@ -118,36 +121,36 @@ def load_function(token: str) -> FunctionSource:
     """Resolve --f: generator token, file in either format, or inline DNF."""
     if token == "g":
         dnf, switches = switch_example()
-        return FunctionSource("g", dnf.function(), dnf=dnf, switches=switches)
+        return FunctionSource("g", dnf.function, dnf=dnf, switches=switches)
     if token.startswith("fstar:"):
         (s,) = _int_params(token, "fstar", 1)
         pairs = make_pivot_pairs(s)
-        return FunctionSource(token, pairs.function(), dnf=pairs.dnf(), pairs=pairs)
+        return FunctionSource(token, pairs.function, dnf=pairs.dnf(), pairs=pairs)
     if token.startswith("family:"):
         k, t = _int_params(token, "family", 2)
         fam = make_switch_family(k, t)
-        return FunctionSource(token, fam.function(), dnf=fam.dnf(), family=fam,
+        return FunctionSource(token, fam.function, dnf=fam.dnf(), family=fam,
                               switches=frozenset(fam.switch_variables))
     if token.startswith("parity:"):
         (n,) = _int_params(token, "parity", 1)
-        return FunctionSource(token, parity(n))
+        return FunctionSource(token, partial(parity, n))
     if token.startswith("majority:"):
         (n,) = _int_params(token, "majority", 1)
-        return FunctionSource(token, majority(n))
+        return FunctionSource(token, partial(majority, n))
     if token.startswith("sym:"):
         profile = SymmetricProfile.from_string(token[4:])
-        return FunctionSource(token, profile.function())
+        return FunctionSource(token, profile.function)
     if os.path.isfile(token):
         with open(token) as fh:
             text = fh.read()
         if looks_like_table_text(text):
-            return FunctionSource(token, parse_table_text(text))
+            return FunctionSource(token, partial(parse_table_text, text))
         dnf = parse_dnf(text)
-        return FunctionSource(token, dnf.function(), dnf=dnf)
+        return FunctionSource(token, dnf.function, dnf=dnf)
     if "/" in token or "\\" in token:
         raise PricedBoolError(f"no such file: {token}")
     dnf = parse_dnf(token)
-    return FunctionSource(token, dnf.function(), dnf=dnf)
+    return FunctionSource(token, dnf.function, dnf=dnf)
 
 
 def load_costs(token: Optional[str], src: FunctionSource, seed: int) -> tuple[CostVector, str]:
@@ -221,22 +224,15 @@ def cmd_analyze(args) -> int:
         return _finish(args, "analyze", {"f": src.label},
                        {"n": f.n, "constant": constant}, [], lines)
     cap = _cap(args, PROOF_ENUM_CAP)
-    proofs = enumerate_proofs(f, cap)
-    largest = max(len(p.variables) for p in proofs)
-    k, ell = certificate_sizes(f)
-    n_min = len(minterms(f, cap))
-    n_max = len(maxterms(f, cap))
-    results = {
-        "n": f.n,
-        "proof_size_max": largest,
-        "k": k,
-        "l": ell,
-        "minterms": n_min,
-        "maxterms": n_max,
-        "proofs": len(proofs),
-    }
+    _require_cap(f.n, cap, "proof enumeration")
+    # every proof is a minterm or a maxterm, so one sweep gives all counts
+    mins, maxs = certificates(f, cap)
+    k, ell = (max(len(t) for t in terms) for terms in (mins, maxs))
+    largest, n_min, n_max = max(k, ell), len(mins), len(maxs)
+    results = {"n": f.n, "proof_size_max": largest, "k": k, "l": ell,
+               "minterms": n_min, "maxterms": n_max, "proofs": n_min + n_max}
     lines = [f"n: {f.n}", f"PROOF: {largest}", f"k: {k}", f"l: {ell}",
-             f"minterms: {n_min}", f"maxterms: {n_max}", f"proofs: {len(proofs)}"]
+             f"minterms: {n_min}", f"maxterms: {n_max}", f"proofs: {n_min + n_max}"]
     profile = profile_of(f)
     if profile is not None:
         results["spread"] = spread(profile)
@@ -263,11 +259,13 @@ def cmd_ratio(args) -> int:
     alg_name = args.alg or "greedy"
     verdicts: list[dict] = []
     inputs = {"f": src.label, "alg": alg_name}
+    analysis = None
     if args.adversary in ("winners", "survivors"):
         if args.cost is not None:
             raise PricedBoolError(f"adversary {args.adversary!r} constructs its own "
                                   "costs; drop --cost")
-        costs, adversary = maxterm_adversary(f, charge=args.adversary)
+        analysis = maxterm_analysis(f)
+        costs, adversary = maxterm_adversary(f, args.adversary, analysis)
         cost_label = f"{args.adversary} charge"
     else:
         costs, cost_label = load_costs(args.cost, src, args.seed)
@@ -307,9 +305,8 @@ def cmd_ratio(args) -> int:
         bound = src.pairs.s + 1
         verdicts.append(_verdict("two-phase ratio within s+1", rep.ratio <= bound,
                                  f"{ratio_string(rep.ratio)} <= {bound}"))
-    if args.adversary in ("winners", "survivors"):
-        _, ell = certificate_sizes(f)
-        target = Fraction(ell, 3)
+    if analysis is not None:
+        target = Fraction(len(analysis.maxterm), 3)
         results["maxterm_third"] = str(target)
         lines.append(f"largest maxterm / 3: {target}")
     return _finish(args, "ratio", inputs, results, verdicts, lines)
@@ -510,15 +507,12 @@ def cmd_gen(args) -> int:
                    [text.rstrip("\n")])
 
 
-def _common_flags(p: argparse.ArgumentParser, function: bool = True) -> None:
-    if function:
-        p.add_argument("--f", metavar="SOURCE", required=True,
-                       help=f"function: {GENERATORS}, a file, or DNF text")
-    p.add_argument("--cost", metavar="SOURCE",
-                   help="unit (default), extremal, random:<seed>, or a JSON object")
-    p.add_argument("--alg", choices=("greedy", "bf2", "lpa"), help="algorithm to run")
-    p.add_argument("--adversary", metavar="NAME",
-                   help="symmetric, winners, or survivors")
+def _common_flags(p: argparse.ArgumentParser, cost: bool = False) -> None:
+    p.add_argument("--f", metavar="SOURCE", required=True,
+                   help=f"function: {GENERATORS}, a file, or DNF text")
+    if cost:
+        p.add_argument("--cost", metavar="SOURCE",
+                       help="unit (default), extremal, random:<seed>, or a JSON object")
     p.add_argument("--seed", type=int, default=0, metavar="U64")
     p.add_argument("--cap-n", dest="cap_n", type=int, metavar="N",
                    help="lower the exhaustive-sweep size limit")
@@ -532,12 +526,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     _common_flags(sub.add_parser("analyze", help="structural numbers of a function"))
-    _common_flags(sub.add_parser("ratio", help="competitive ratio of an algorithm"))
+    ratio = sub.add_parser("ratio", help="competitive ratio of an algorithm")
+    _common_flags(ratio, cost=True)
+    ratio.add_argument("--alg", choices=("greedy", "bf2", "lpa"), help="algorithm to run")
+    ratio.add_argument("--adversary", metavar="NAME", help="symmetric, winners, or survivors")
 
     lp = sub.add_parser("lp", help="covering program tools")
     lp_sub = lp.add_subparsers(dest="lp_command", required=True)
     for name in ("solve", "delta", "lpa", "family", "lemma2"):
-        _common_flags(lp_sub.add_parser(name))
+        _common_flags(lp_sub.add_parser(name), cost=name == "lpa")
 
     quad = sub.add_parser("quad", help="short-conjunction tools")
     quad_sub = quad.add_subparsers(dest="quad_command", required=True)
@@ -547,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="group size of the pivot-pairs function")
     fstar.add_argument("--json", metavar="PATH")
 
-    _common_flags(sub.add_parser("sym", help="symmetric profile report"))
+    _common_flags(sub.add_parser("sym", help="symmetric profile report"), cost=True)
 
     ver = sub.add_parser("verify", help="run a property suite")
     ver.add_argument("suite", choices=SUITE_NAMES)

@@ -2,8 +2,9 @@
 
 Truth-table functions, partial assignments, exact rational cost vectors,
 and the certificate machinery on top of them: proofs (variable sets that
-pin the function value down for some witness), minterms and maxterms,
-and cheapest-proof search.
+pin the function value down for some witness), and cheapest-proof
+search.  The proofs forcing 1 are the minterms and those forcing 0 the
+maxterms, so one sweep over the variable masks finds all three.
 
 Conventions used throughout the package:
 
@@ -21,7 +22,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -513,32 +514,32 @@ def _drop_bit_index(k: int, pos: int) -> np.ndarray:
     return (i & ((1 << pos) - 1)) | ((i >> (pos + 1)) << pos)
 
 
-def _sweep_minimal(f: BooleanFunction, select: Callable[[np.ndarray, np.ndarray], np.ndarray]):
-    """Yield (mask, combo flags) for combos minimal under the selection.
+def _sweep_minimal(f: BooleanFunction):
+    """Yield (mask, proof flags, forced values) for each mask with a proof.
 
-    ``select(const, value)`` marks the eligible combos of each variable
-    mask; a combo is minimal when no single-variable removal stays
-    eligible.  Masks are visited in increasing popcount order.
+    A combo of the masked variables is a proof when it forces f and no
+    single-variable removal still does; ``forced[combo]`` is its value.
+    A removal widens the subcube, so it can only force that same value.
+    Masks are visited in increasing popcount order.
     """
     n = f.n
-    eligible: dict[int, np.ndarray] = {}
+    forcing: dict[int, np.ndarray] = {}
     masks = sorted(range(1 << n), key=lambda m: (m.bit_count(), m))
     for mask in masks:
-        const, val = _det_arrays(f, mask)
-        sel = select(const, val)
-        eligible[mask] = sel
-        if not sel.any():
+        const, forced = _det_arrays(f, mask)
+        forcing[mask] = const
+        if not const.any():
             continue
-        minimal = sel.copy()
+        minimal = const.copy()
         variables = _mask_vars(mask)
         k = len(variables)
         for pos, v in enumerate(variables):
-            sub = eligible[mask ^ (1 << v)]
+            sub = forcing[mask ^ (1 << v)]
             minimal &= ~sub[_drop_bit_index(k, pos)]
             if not minimal.any():
                 break
         if minimal.any():
-            yield mask, minimal
+            yield mask, minimal, forced
 
 
 def _combo_assignment(n: int, mask: int, combo: int) -> PartialAssignment:
@@ -579,7 +580,7 @@ def enumerate_proofs(f: BooleanFunction, cap: int = PROOF_ENUM_CAP) -> tuple[Pro
     """
     _require_cap(f.n, cap, "proof enumeration")
     out = []
-    for mask, flags in _sweep_minimal(f, lambda const, val: const.copy()):
+    for mask, flags, _ in _sweep_minimal(f):
         variables = frozenset(_mask_vars(mask))
         for combo in np.flatnonzero(flags):
             out.append(Proof(variables, _combo_assignment(f.n, mask, int(combo))))
@@ -589,17 +590,13 @@ def enumerate_proofs(f: BooleanFunction, cap: int = PROOF_ENUM_CAP) -> tuple[Pro
 def proof_variable_sets(f: BooleanFunction, cap: int = PROOF_ENUM_CAP) -> tuple[frozenset, ...]:
     """The deduplicated variable sets of all proofs, sorted by size then mask."""
     _require_cap(f.n, cap, "proof enumeration")
-    masks = [mask for mask, _ in _sweep_minimal(f, lambda const, val: const.copy())]
-    return tuple(frozenset(_mask_vars(m)) for m in masks)
+    return tuple(frozenset(_mask_vars(mask)) for mask, _, _ in _sweep_minimal(f))
 
 
 def max_proof_size(f: BooleanFunction, cap: int = PROOF_ENUM_CAP) -> int:
     """The largest proof size; 0 exactly for constant functions."""
     _require_cap(f.n, cap, "proof enumeration")
-    best = 0
-    for mask, _ in _sweep_minimal(f, lambda const, val: const.copy()):
-        best = max(best, mask.bit_count())
-    return best
+    return max(mask.bit_count() for mask, _, _ in _sweep_minimal(f))
 
 
 def minimal_witness_domains(f: BooleanFunction, cap: int = PROOF_ENUM_CAP) -> tuple[int, ...]:
@@ -624,31 +621,32 @@ def minimal_witness_domains(f: BooleanFunction, cap: int = PROOF_ENUM_CAP) -> tu
 # minterms and maxterms
 
 
-def _certificates(f: BooleanFunction, cap: int, forced: int) -> tuple[frozenset, ...]:
-    """Minimal literal sets whose literals, all set to `forced`, force f to `forced`."""
+def certificates(f: BooleanFunction, cap: int = PROOF_ENUM_CAP
+                 ) -> tuple[tuple[frozenset, ...], tuple[frozenset, ...]]:
+    """The minterms and the maxterms of f: its proofs forcing 1 and 0."""
     _require_cap(f.n, cap, "certificate enumeration")
     if f.is_constant() is not None:
         raise ConstantFunctionError(f"constant function (value {f.is_constant()}) has no certificates")
-    select = (lambda const, val: const & val) if forced else (lambda const, val: const & ~val)
-    out = []
-    for mask, flags in _sweep_minimal(f, select):
+    by_value: tuple[list, list] = ([], [])
+    for mask, flags, forced in _sweep_minimal(f):
         variables = _mask_vars(mask)
         for combo in np.flatnonzero(flags):
-            # the literal on x_v that has value `forced` under the combo
-            out.append(frozenset(
-                Literal(v, negated=(int(combo) >> t & 1) != forced)
+            value = int(forced[combo])
+            # the literal on x_v that has the forced value under the combo
+            by_value[value].append(frozenset(
+                Literal(v, negated=(int(combo) >> t & 1) != value)
                 for t, v in enumerate(variables)))
-    return tuple(out)
+    return tuple(by_value[1]), tuple(by_value[0])
 
 
 def minterms(f: BooleanFunction, cap: int = PROOF_ENUM_CAP) -> tuple[frozenset, ...]:
     """Minimal literal sets that force f to 1 when all are made true."""
-    return _certificates(f, cap, 1)
+    return certificates(f, cap)[0]
 
 
 def maxterms(f: BooleanFunction, cap: int = PROOF_ENUM_CAP) -> tuple[frozenset, ...]:
     """Minimal literal sets that force f to 0 when all are made false."""
-    return _certificates(f, cap, 0)
+    return certificates(f, cap)[1]
 
 
 def literal_set_key(term: Iterable[Literal]) -> tuple:

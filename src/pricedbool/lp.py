@@ -30,11 +30,10 @@ from .core import (
     _mask_vars,
     _require_cap,
     _restriction_view,
+    certificates,
     literal_set_key,
     max_proof_size,
-    maxterms,
     minimal_witness_domains,
-    minterms,
 )
 from .harness import History
 from .simplex import simplex_max, simplex_min
@@ -496,12 +495,12 @@ def branch_proof_size(dnf: Dnf, switches: Iterable[int]) -> BranchProofs:
     return BranchProofs(top, tuple(setting for setting, size in sizes if size == top))
 
 
-def _branch_certificates(g: BooleanFunction, kept, side: str) -> list[frozenset]:
-    if g.is_constant() is not None:
-        return []
-    terms = minterms(g) if side == "minterm" else maxterms(g)
-    return [frozenset(Literal(kept[lit.variable], lit.negated) for lit in term)
-            for term in terms]
+def _branch_certificates(g: BooleanFunction, kept) -> dict[str, list[frozenset]]:
+    """The minterms and maxterms of a branch, over the original variables."""
+    sides = certificates(g) if g.is_constant() is None else ((), ())
+    return {side: [frozenset(Literal(kept[lit.variable], lit.negated) for lit in term)
+                   for term in terms]
+            for side, terms in zip(("minterm", "maxterm"), sides)}
 
 
 class SwitchAdversary:
@@ -575,13 +574,13 @@ def switch_adversary(dnf: Dnf, switches: Iterable[int], setting, certificate,
         raise ConstantFunctionError("the chosen switch setting leaves a constant function, "
                                     "which has no certificates")
     cert = _coerce_certificate(certificate, flips)
-    if cert not in set(_branch_certificates(chosen, chosen_kept, side)):
+    if cert not in set(_branch_certificates(chosen, chosen_kept)[side]):
         raise PricedBoolError(f"the certificate is not a {side} of the chosen setting")
     cert_vars = frozenset(lit.variable for lit in cert)
     for other_code, (_, g, kept) in enumerate(branches):
         if other_code == code:
             continue
-        for term in _branch_certificates(g, kept, side):
+        for term in _branch_certificates(g, kept)[side]:
             if {lit.variable for lit in term} <= cert_vars:
                 raise PricedBoolError("switch certification hypothesis not met: another "
                                       "setting certifies inside the chosen variables")
@@ -614,9 +613,8 @@ def find_certified_switch(dnf: Dnf, switches: Iterable[int]) -> tuple[tuple, tup
     by_setting = {setting: (g, kept) for setting, g, kept in _branches(f, switch_list)}
     for setting in proofs.argmax:
         g, kept = by_setting[setting]
-        for side in ("minterm", "maxterm"):
-            terms = [term for term in _branch_certificates(g, kept, side)
-                     if len(term) == proofs.size]
+        for side, side_terms in _branch_certificates(g, kept).items():
+            terms = [term for term in side_terms if len(term) == proofs.size]
             for term in sorted(terms, key=literal_set_key):
                 certificate = tuple(sorted(lit.variable for lit in term))
                 try:

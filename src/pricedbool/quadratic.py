@@ -21,8 +21,8 @@ from .core import (
     Literal,
     PartialAssignment,
     PricedBoolError,
+    certificates,
     literal_set_key,
-    maxterms,
     minterms,
 )
 from .harness import History
@@ -32,7 +32,7 @@ def certificate_sizes(f: BooleanFunction) -> tuple[int, int]:
     """Largest minterm size and largest maxterm size."""
     if f.is_constant() is not None:
         raise ConstantFunctionError("certificate sizes are undefined for a constant function")
-    return (max(len(t) for t in minterms(f)), max(len(t) for t in maxterms(f)))
+    return tuple(max(len(t) for t in terms) for terms in certificates(f))
 
 
 def is_quadratic(f: BooleanFunction) -> bool:
@@ -76,10 +76,10 @@ def maxterm_analysis(f: BooleanFunction) -> QuadraticAnalysis:
     """Build the largest-maxterm data for a non-constant quadratic function."""
     if f.is_constant() is not None:
         raise ConstantFunctionError("analysis is undefined for a constant function")
-    term_set = set(minterms(f))
+    mins, mxs = certificates(f)
+    term_set = set(mins)
     if any(len(t) > 2 for t in term_set):
         raise PricedBoolError("analysis requires a quadratic function")
-    mxs = maxterms(f)
     largest = max(len(t) for t in mxs)
     maxterm = min((t for t in mxs if len(t) == largest), key=literal_set_key)
     c_sorted = tuple(sorted(maxterm))

@@ -5,6 +5,7 @@ or drives the installed command line tool.  Tolerances are zero
 throughout; every comparison is an equality or inequality of rationals.
 """
 
+import hashlib
 import shutil
 import subprocess
 import sys
@@ -13,6 +14,9 @@ import time
 from pricedbool import verify
 
 SEED = 0
+# sha256 prefix of the `verify all --seed 0` stdout; any change to the
+# verified numbers or their formatting shows up here
+VERIFY_ALL_DIGEST = "c3b66a9fb1487a81"
 
 
 def _gate(label: str, report: dict) -> None:
@@ -90,4 +94,5 @@ def test_10_full_verification_is_deterministic_and_fast():
     assert first.returncode == 0, first.stdout.decode()[-2000:]
     assert second.returncode == 0
     assert first.stdout == second.stdout
+    assert hashlib.sha256(first.stdout).hexdigest()[:16] == VERIFY_ALL_DIGEST
     assert elapsed < 1800

@@ -199,3 +199,30 @@ def test_cap_n_zero_is_honoured(capsys):
     code, _, err = run_cli(capsys, "ratio", "--f", "sym:0110", "--cap-n", "0")
     assert code == 2
     assert "n=3 exceeds cap 0" in err
+
+
+def test_gen_reads_a_wide_dnf_without_building_its_table(capsys):
+    code, out, err = run_cli(capsys, "gen", "--f", "x30 & x1")
+    assert (code, out, err) == (0, "x1 & x30\n", "")
+
+
+def test_gen_still_refuses_a_table_past_the_cap(capsys):
+    code, out, err = run_cli(capsys, "gen", "--f", "parity:30")
+    assert (code, out) == (2, "")
+    assert err == "error: instance too large: n=30 exceeds table cap 24\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("lp", "lpa", "--f", "g", "--alg", "greedy"),
+    ("analyze", "--f", "parity:3", "--cost", "nonsense"),
+    ("analyze", "--f", "parity:3", "--adversary", "bogus"),
+    ("lp", "solve", "--f", "parity:3", "--cost", "unit"),
+    ("sym", "--f", "sym:0110", "--alg", "greedy"),
+    ("quad", "analyze", "--f", "fstar:2", "--adversary", "winners"),
+    ("gen", "--f", "g", "--cost", "unit"),
+])
+def test_flags_a_verb_ignores_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Tables, assignments, parsing, costs, and certificate enumeration."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from pricedbool.core import (
     ParseError,
     PartialAssignment,
     PricedBoolError,
+    certificates,
     cheapest_proof,
     cost_json,
     enumerate_proofs,
@@ -216,3 +218,63 @@ def test_caps_are_enforced():
     # 2**40 entries would not fit in memory: the cap is checked before allocating
     with pytest.raises(CapExceeded, match="n=40 exceeds table cap 24"):
         BooleanFunction.constant(40, 0)
+
+
+def _forced(f, values):
+    """The value f takes on every completion of ``values`` (var -> bit), or None."""
+    seen = {int(f.table[i]) for i in range(1 << f.n)
+            if all(i >> v & 1 == b for v, b in values.items())}
+    return seen.pop() if len(seen) == 1 else None
+
+
+def _brute_certificates(f):
+    """Minterms and maxterms from all 3**n literal sets, without the sweep."""
+    found = ([], [])
+    for choice in itertools.product((None, 0, 1), repeat=f.n):
+        values = {v: b for v, b in enumerate(choice) if b is not None}
+        value = _forced(f, values)
+        if value is None or any(
+                _forced(f, {u: b for u, b in values.items() if u != v}) is not None
+                for v in values):
+            continue
+        # a minterm's literals are true under values, a maxterm's false
+        found[value].append(literal_set_key(
+            Literal(v, negated=b != value) for v, b in values.items()))
+    return sorted(found[1]), sorted(found[0])
+
+
+def _certificate_battery():
+    for n in (1, 2, 3):
+        for bits in range(1, (1 << (1 << n)) - 1):
+            yield BooleanFunction([bits >> i & 1 for i in range(1 << n)])
+    rng = random.Random(11)
+    for _ in range(40):
+        yield random_function(rng, rng.randint(4, 5))
+
+
+def test_certificates_match_a_brute_force_oracle():
+    count = 0
+    for f in _certificate_battery():
+        mins, maxs = certificates(f)
+        got = (sorted(map(literal_set_key, mins)), sorted(map(literal_set_key, maxs)))
+        assert got == _brute_certificates(f), f
+        assert len(enumerate_proofs(f)) == len(mins) + len(maxs)
+        assert max_proof_size(f) == max(len(t) for t in mins + maxs)
+        count += 1
+    assert count == 270 + 40
+
+
+def test_analyze_sweeps_the_masks_once(monkeypatch, capsys):
+    from pricedbool import cli, core
+
+    calls = []
+    original = core._det_arrays
+
+    def counted(f, mask):
+        calls.append(mask)
+        return original(f, mask)
+
+    monkeypatch.setattr(core, "_det_arrays", counted)
+    assert cli.main(["analyze", "--f", "x0 & x1 | x2 & !x3 | x4"]) == 0
+    assert "proofs: " in capsys.readouterr().out
+    assert sorted(calls) == list(range(1 << 5))

@@ -84,6 +84,12 @@ GOLDEN = [
      2, 'e3b0c44298fc1c14', 'c61a356fa489f870', None),
     (('ratio', '--f', 'g', '--cost', 'cheap'),
      2, 'e3b0c44298fc1c14', 'b19d0da7f584f72d', None),
+    (('analyze', '--f', 'parity:15'),
+     2, 'e3b0c44298fc1c14', '7b73c585b786ff45', None),
+    (('analyze', '--f', 'majority:5', '--cap-n', '4'),
+     2, 'e3b0c44298fc1c14', 'c6ecc01bbf5e5a21', None),
+    (('quad', 'analyze', '--f', 'parity:15'),
+     2, 'e3b0c44298fc1c14', 'c8c9e399a077efdd', None),
 ]
 
 
