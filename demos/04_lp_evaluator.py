@@ -19,19 +19,16 @@ from fractions import Fraction
 from pricedbool import (
     BooleanFunction,
     CostVector,
+    SwitchAnalysis,
     adversarial_ratio,
-    branch_proof_size,
     build_lp,
     competitive_ratio_exhaustive,
-    find_certified_switch,
     greedy_strategy,
     lp_guided_strategy,
     majority,
     max_proof_size,
     max_restriction_objective,
-    mixed_branch_solution,
     solve_lp,
-    switch_adversary,
     switch_example,
 )
 
@@ -63,19 +60,20 @@ assert guided <= delta < greedy
 
 # pinning the sweep value from below: a certified switch
 dnf, switches = switch_example()
-g = dnf.function()
+analysis = SwitchAnalysis(dnf, switches)
+g = analysis.f
 k = len(switches)
 print(f"\n{dnf.text()}  (x4 appears in both polarities)")
-gamma = branch_proof_size(dnf, switches).size
+gamma = analysis.proofs.size
 print(f"  largest proof over the settings of the switch: {gamma}")
-mixed = mixed_branch_solution(dnf, switches)
+mixed = analysis.mixed_solution()
 print(f"  averaging the per-setting optima is feasible at weight"
       f" {mixed.objective} = {k} + {gamma}")
-setting, certificate, side = find_certified_switch(dnf, switches)
+setting, certificate, side = analysis.certified_switch()
 names = ", ".join(f"x{v}" for v in certificate)
 print(f"  setting x4 = {setting[0]} leaves a {side} on {names} that no"
       f" other setting can certify")
-charge, adversary = switch_adversary(dnf, switches, setting, certificate, side)
+charge, adversary = analysis.adversary(setting, certificate, side)
 for name, alg in (("greedy", greedy_strategy(charge)),
                   ("guided reader", lp_guided_strategy(g, charge))):
     forced = adversarial_ratio(alg, g, adversary, charge)

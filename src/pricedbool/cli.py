@@ -60,15 +60,12 @@ from .harness import (
 )
 from .lp import (
     FamilySpec,
+    SwitchAnalysis,
     _polarities,
-    branch_proof_size,
-    find_certified_switch,
     lp_guided_strategy,
     lp_solution,
     make_switch_family,
     max_restriction_objective,
-    mixed_branch_solution,
-    switch_adversary,
     switch_example,
 )
 from .quadratic import (
@@ -295,7 +292,12 @@ def cmd_ratio(args) -> int:
         formula = ratio_formula(profile, costs)
         results["formula"] = ratio_string(formula)
         lines.append(f"symmetric formula: {ratio_string(formula)}")
-        if alg_name == "greedy":
+        if alg_name == "greedy" and analysis is not None:
+            # any adversary's forced ratio is at most greedy's exhaustive one
+            verdicts.append(_verdict(f"the {args.adversary} adversary holds greedy within "
+                                     "the formula value", rep.ratio <= formula,
+                                     f"{ratio_string(rep.ratio)} <= {ratio_string(formula)}"))
+        elif alg_name == "greedy":
             name = ("greedy exhaustive ratio equals the symmetric formula"
                     if adversary is None else
                     "the symmetric adversary forces greedy to the formula value")
@@ -368,6 +370,8 @@ def cmd_lp(args) -> int:
         return _finish(args, "lp delta", {"f": src.label},
                        {"delta": str(delta), "proof_size_max": largest}, verdicts, lines)
     if args.lp_command == "lpa":
+        if f.is_constant() is not None:
+            raise PricedBoolError("the guided-reader bound is undefined for constant functions")
         costs, cost_label = load_costs(args.cost, src, args.seed)
         rep = competitive_ratio_exhaustive(lp_guided_strategy(f, costs), f, costs,
                                            cap=_cap(args, SEARCH_CAP))
@@ -414,12 +418,12 @@ def _lp_switch_report(args, src: FunctionSource) -> int:
     if not switches:
         raise PricedBoolError("no variable appears in both polarities; "
                               "there is no switch to analyze")
-    k = len(switches)
-    gamma = branch_proof_size(dnf, switches).size
-    target = k + gamma
-    mixed = mixed_branch_solution(dnf, switches)
-    setting, certificate, side = find_certified_switch(dnf, switches)
-    adv_costs, adversary = switch_adversary(dnf, switches, setting, certificate, side)
+    analysis = SwitchAnalysis(dnf, switches)
+    gamma = analysis.proofs.size
+    target = len(switches) + gamma
+    mixed = analysis.mixed_solution()
+    setting, certificate, side = analysis.certified_switch()
+    adv_costs, adversary = analysis.adversary(setting, certificate, side)
     forced = {}
     for name, algorithm in (("greedy", greedy_strategy(adv_costs)),
                             ("lpa", lp_guided_strategy(f, adv_costs))):

@@ -725,6 +725,8 @@ def cheapest_proof_costs(f: BooleanFunction, costs: CostVector,
 
 def _popcounts(n: int) -> np.ndarray:
     """The number of ones in every assignment index of an n-variable table."""
+    if n < 0:
+        raise ValueError(f"a function needs n >= 0 variables, got n={n}")
     _require_table_cap(n)
     idx = np.arange(1 << n, dtype=np.int64)
     ones = np.zeros(1 << n, dtype=np.int64)

@@ -32,7 +32,6 @@ from .core import (
     _restriction_view,
     certificates,
     literal_set_key,
-    max_proof_size,
     minimal_witness_domains,
 )
 from .harness import History
@@ -424,83 +423,9 @@ def _polarities(dnf: Dnf) -> tuple[set, set]:
     return pos, neg
 
 
-def _polarity_map(dnf: Dnf, switches: Iterable[int]) -> tuple[frozenset, dict]:
-    """Check the switch hypothesis; map plain variables to their pure polarity.
-
-    Switch variables must occur both plain and negated; every other
-    variable must stick to one polarity.  The returned dict marks the
-    plain variables that occur only negated (their certifying value 0).
-    """
-    switch_set = frozenset(switches)
-    for z in switch_set:
-        if not 0 <= z < dnf.n:
-            raise ValueError(f"switch variable x{z} out of range")
-    pos, neg = _polarities(dnf)
-    for z in sorted(switch_set):
-        if z not in pos or z not in neg:
-            raise PricedBoolError(f"switch variable x{z} must appear both plain and negated")
-    flips = {}
-    for v in sorted((pos | neg) - switch_set):
-        if v in pos and v in neg:
-            raise PricedBoolError(f"variable x{v} appears both plain and negated but is not a switch")
-        flips[v] = v in neg
-    return switch_set, flips
-
-
-def _branches(f: BooleanFunction, switch_list: list[int]):
-    """Per switch setting (bit s of the code is the s-th switch's value):
-    the setting tuple, the induced function, and its variable map."""
-    k = len(switch_list)
-    out = []
-    for code in range(1 << k):
-        setting = tuple(code >> s & 1 for s in range(k))
-        assignment = PartialAssignment.of(f.n, dict(zip(switch_list, setting)))
-        if assignment.is_full:
-            out.append((setting, BooleanFunction.constant(0, f.evaluate(assignment)), ()))
-        else:
-            g, kept = f.restrict(assignment)
-            out.append((setting, g, kept))
-    return out
-
-
-def _check_branch_monotone(setting, g: BooleanFunction, kept, flips: dict) -> None:
-    if g.n == 0:
-        return
-    flip_mask = 0
-    for j, v in enumerate(kept):
-        if flips.get(v, False):
-            flip_mask |= 1 << j
-    if flip_mask:
-        g = BooleanFunction(g.table[np.arange(g.table.size) ^ flip_mask])
-    if not g.is_monotone():
-        raise PricedBoolError(f"switch setting {setting} leaves a non-monotone function "
-                              "after polarity normalization")
-
-
 class BranchProofs(NamedTuple):
     size: int
     argmax: tuple
-
-
-def branch_proof_size(dnf: Dnf, switches: Iterable[int]) -> BranchProofs:
-    """The largest proof size over all switch settings, with its argmax set."""
-    switch_set, flips = _polarity_map(dnf, switches)
-    switch_list = sorted(switch_set)
-    f = dnf.function()
-    sizes = []
-    for setting, g, kept in _branches(f, switch_list):
-        _check_branch_monotone(setting, g, kept, flips)
-        sizes.append((setting, max_proof_size(g)))
-    top = max(size for _, size in sizes)
-    return BranchProofs(top, tuple(setting for setting, size in sizes if size == top))
-
-
-def _branch_certificates(g: BooleanFunction, kept) -> dict[str, list[frozenset]]:
-    """The minterms and maxterms of a branch, over the original variables."""
-    sides = certificates(g) if g.is_constant() is None else ((), ())
-    return {side: [frozenset(Literal(kept[lit.variable], lit.negated) for lit in term)
-                   for term in terms]
-            for side, terms in zip(("minterm", "maxterm"), sides)}
 
 
 class SwitchAdversary:
@@ -534,129 +459,161 @@ class SwitchAdversary:
         return PartialAssignment.of(self.n, values)
 
 
-def _coerce_certificate(certificate: Iterable, flips: dict) -> frozenset:
-    lits = set()
-    for item in certificate:
-        if isinstance(item, Literal):
-            lits.add(item)
-        else:
-            v = int(item)
-            lits.add(Literal(v, negated=flips.get(v, False)))
-    return frozenset(lits)
+class SwitchAnalysis:
+    """The switch settings of a DNF, each branch checked and swept once.
 
-
-def switch_adversary(dnf: Dnf, switches: Iterable[int], setting, certificate,
-                     side: str = "minterm") -> tuple[CostVector, SwitchAdversary]:
-    """Unit costs on switches plus certificate, and the adversary that
-    forces paying all of them.
-
-    ``setting`` gives each switch's value in increasing variable order;
-    ``certificate`` (variable indices or literals) must be a minterm or
-    maxterm, per ``side``, of the function that setting leaves.  No
-    other setting may certify the same way inside its variables; that
-    condition is what keeps the final inverted answer unpredictable.
+    Switch variables must occur both plain and negated; every other
+    variable must stick to one polarity, and every setting of the
+    switches must leave a function that is monotone once the variables
+    occurring only negated are flipped.  Settings run in binary order:
+    bit s of the code is the value of the s-th switch in increasing
+    variable order.  One certificate sweep per branch gives its
+    minterms and maxterms over the original variables, and with them
+    the branch's largest proof.
     """
-    if side not in ("minterm", "maxterm"):
-        raise ValueError("side must be 'minterm' or 'maxterm'")
-    switch_set, flips = _polarity_map(dnf, switches)
-    switch_list = sorted(switch_set)
-    k = len(switch_list)
-    setting = tuple(int(b) for b in setting)
-    if len(setting) != k or any(b not in (0, 1) for b in setting):
-        raise ValueError(f"the setting needs one bit per switch ({k})")
-    f = dnf.function()
-    branches = _branches(f, switch_list)
-    for branch_setting, g, kept in branches:
-        _check_branch_monotone(branch_setting, g, kept, flips)
-    code = sum(bit << s for s, bit in enumerate(setting))
-    _, chosen, chosen_kept = branches[code]
-    if chosen.is_constant() is not None:
-        raise ConstantFunctionError("the chosen switch setting leaves a constant function, "
-                                    "which has no certificates")
-    cert = _coerce_certificate(certificate, flips)
-    if cert not in set(_branch_certificates(chosen, chosen_kept)[side]):
-        raise PricedBoolError(f"the certificate is not a {side} of the chosen setting")
-    cert_vars = frozenset(lit.variable for lit in cert)
-    for other_code, (_, g, kept) in enumerate(branches):
-        if other_code == code:
-            continue
-        for term in _branch_certificates(g, kept)[side]:
-            if {lit.variable for lit in term} <= cert_vars:
-                raise PricedBoolError("switch certification hypothesis not met: another "
-                                      "setting certifies inside the chosen variables")
-    toward = 1 if side == "minterm" else 0
-    base = {z: setting[s] for s, z in enumerate(switch_list)}
-    for lit in cert:
-        base[lit.variable] = lit.value_when_true if toward else 1 - lit.value_when_true
-    away = 1 - toward
-    for v in range(f.n):
-        if v not in base:
-            base[v] = 1 - away if flips.get(v, False) else away
-    tracked = frozenset(switch_list) | cert_vars
-    costs = CostVector.of([1 if v in tracked else 0 for v in range(f.n)])
-    return costs, SwitchAdversary(f.n, base, tracked)
 
+    def __init__(self, dnf: Dnf, switches: Iterable[int]):
+        switch_set = frozenset(switches)
+        for z in switch_set:
+            if not 0 <= z < dnf.n:
+                raise ValueError(f"switch variable x{z} out of range")
+        pos, neg = _polarities(dnf)
+        for z in sorted(switch_set):
+            if z not in pos or z not in neg:
+                raise PricedBoolError(f"switch variable x{z} must appear both plain and negated")
+        # plain variables occurring only negated certify with value 0
+        self._flips = {}
+        for v in sorted((pos | neg) - switch_set):
+            if v in pos and v in neg:
+                raise PricedBoolError(f"variable x{v} appears both plain and negated "
+                                      "but is not a switch")
+            self._flips[v] = v in neg
+        self._switches = tuple(sorted(switch_set))
+        self.f = f = dnf.function()
+        # per setting: the setting, the function it leaves, its variable
+        # map, and its certificates by side
+        self._branches = []
+        for code in range(1 << len(self._switches)):
+            setting = tuple(code >> s & 1 for s in range(len(self._switches)))
+            assignment = PartialAssignment.of(f.n, dict(zip(self._switches, setting)))
+            if assignment.is_full:
+                g, kept = BooleanFunction.constant(0, f.evaluate(assignment)), ()
+            else:
+                g, kept = f.restrict(assignment)
+            flip_mask = sum(1 << j for j, v in enumerate(kept) if self._flips.get(v, False))
+            normalized = BooleanFunction(g.table[np.arange(g.table.size) ^ flip_mask])
+            if g.n and not normalized.is_monotone():
+                raise PricedBoolError(f"switch setting {setting} leaves a non-monotone function "
+                                      "after polarity normalization")
+            _require_cap(g.n, PROOF_ENUM_CAP, "proof enumeration")
+            sides = certificates(g) if g.is_constant() is None else ((), ())
+            terms = {side: [frozenset(Literal(kept[lit.variable], lit.negated) for lit in term)
+                            for term in side_terms]
+                     for side, side_terms in zip(("minterm", "maxterm"), sides)}
+            self._branches.append((setting, g, kept, terms))
+        sizes = {setting: max((len(t) for side in terms.values() for t in side), default=0)
+                 for setting, _, _, terms in self._branches}
+        top = max(sizes.values())
+        self.proofs = BranchProofs(top, tuple(s for s, size in sizes.items() if size == top))
 
-def find_certified_switch(dnf: Dnf, switches: Iterable[int]) -> tuple[tuple, tuple, str]:
-    """A (setting, certificate, side) triple passing the certification check.
+    def _certified_elsewhere(self, code: int, side: str, variables: frozenset) -> bool:
+        """Whether a setting other than ``code`` has a ``side`` certificate
+        inside ``variables``."""
+        return any({lit.variable for lit in term} <= variables
+                   for other, (_, _, _, terms) in enumerate(self._branches) if other != code
+                   for term in terms[side])
 
-    Scans the settings with the largest proofs in binary order, minterms
-    before maxterms, certificates of that largest size in literal order,
-    and returns the first combination the adversary construction
-    accepts.  Raises when none qualifies.
-    """
-    proofs = branch_proof_size(dnf, switches)
-    if proofs.size == 0:
-        raise PricedBoolError("every switch setting leaves a constant function")
-    switch_list = sorted(frozenset(switches))
-    f = dnf.function()
-    by_setting = {setting: (g, kept) for setting, g, kept in _branches(f, switch_list)}
-    for setting in proofs.argmax:
-        g, kept = by_setting[setting]
-        for side, side_terms in _branch_certificates(g, kept).items():
-            terms = [term for term in side_terms if len(term) == proofs.size]
-            for term in sorted(terms, key=literal_set_key):
-                certificate = tuple(sorted(lit.variable for lit in term))
-                try:
-                    switch_adversary(dnf, switches, setting, certificate, side)
-                except PricedBoolError:
-                    continue
-                return setting, certificate, side
-    raise PricedBoolError("switch certification hypothesis not met: no largest "
-                          "certificate qualifies")
+    def certified_switch(self) -> tuple[tuple, tuple, str]:
+        """A (setting, certificate, side) triple passing the certification check.
 
+        Scans the settings with the largest proofs in binary order, minterms
+        before maxterms, certificates of that largest size in literal order,
+        and returns the first one no other setting certifies inside.
+        Raises when none qualifies.
+        """
+        if self.proofs.size == 0:
+            raise PricedBoolError("every switch setting leaves a constant function")
+        for setting in self.proofs.argmax:
+            code = sum(bit << s for s, bit in enumerate(setting))
+            _, _, _, by_side = self._branches[code]
+            for side, side_terms in by_side.items():
+                terms = [term for term in side_terms if len(term) == self.proofs.size]
+                for term in sorted(terms, key=literal_set_key):
+                    variables = frozenset(lit.variable for lit in term)
+                    if not self._certified_elsewhere(code, side, variables):
+                        return setting, tuple(sorted(variables)), side
+        raise PricedBoolError("switch certification hypothesis not met: no largest "
+                              "certificate qualifies")
 
-def mixed_branch_solution(dnf: Dnf, switches: Iterable[int]) -> LpSolution:
-    """Averaging the per-setting optima gives a feasible full-program vector.
+    def adversary(self, setting, certificate,
+                  side: str = "minterm") -> tuple[CostVector, SwitchAdversary]:
+        """Unit costs on switches plus certificate, and the adversary that
+        forces paying all of them.
 
-    Switches get weight 1.  A proof that avoids every switch restricts
-    to a proof under each setting, so the averaged cover still reaches
-    1; proofs reading a switch are covered by its unit weight.  The
-    objective is at most the switch count plus the largest setting
-    optimum, which never exceeds the largest branch proof.
-    """
-    switch_set, flips = _polarity_map(dnf, switches)
-    switch_list = sorted(switch_set)
-    k = len(switch_list)
-    f = dnf.function()
-    values = [ZERO] * f.n
-    for z in switch_list:
-        values[z] = ONE
-    share = Fraction(1, 1 << k)
-    largest = 0
-    for setting, g, kept in _branches(f, switch_list):
-        _check_branch_monotone(setting, g, kept, flips)
-        largest = max(largest, max_proof_size(g))
-        if g.is_constant() is not None:
-            continue
-        sol = lp_solution(g)
-        for j, v in enumerate(kept):
-            values[v] += share * sol.values[j]
-    rows = build_lp(f).rows
-    for row in rows:
-        if sum(values[v] for v in row) < 1:
-            raise PricedBoolError("the averaged branch vector misses a covering row")
-    objective = sum(values)
-    if objective > k + largest:
-        raise PricedBoolError("the averaged branch vector exceeds its intended bound")
-    return LpSolution(tuple(values), objective, len(rows), "feasible")
+        ``setting`` gives each switch's value in increasing variable order;
+        ``certificate`` (variable indices or literals) must be a minterm or
+        maxterm, per ``side``, of the function that setting leaves.  No
+        other setting may certify the same way inside its variables; that
+        condition is what keeps the final inverted answer unpredictable.
+        """
+        if side not in ("minterm", "maxterm"):
+            raise ValueError("side must be 'minterm' or 'maxterm'")
+        k = len(self._switches)
+        setting = tuple(int(b) for b in setting)
+        if len(setting) != k or any(b not in (0, 1) for b in setting):
+            raise ValueError(f"the setting needs one bit per switch ({k})")
+        code = sum(bit << s for s, bit in enumerate(setting))
+        _, chosen, _, terms = self._branches[code]
+        if chosen.is_constant() is not None:
+            raise ConstantFunctionError("the chosen switch setting leaves a constant function, "
+                                        "which has no certificates")
+        cert = frozenset(item if isinstance(item, Literal)
+                         else Literal(int(item), negated=self._flips.get(int(item), False))
+                         for item in certificate)
+        if cert not in terms[side]:
+            raise PricedBoolError(f"the certificate is not a {side} of the chosen setting")
+        cert_vars = frozenset(lit.variable for lit in cert)
+        if self._certified_elsewhere(code, side, cert_vars):
+            raise PricedBoolError("switch certification hypothesis not met: another "
+                                  "setting certifies inside the chosen variables")
+        toward = 1 if side == "minterm" else 0
+        base = {z: setting[s] for s, z in enumerate(self._switches)}
+        for lit in cert:
+            base[lit.variable] = lit.value_when_true if toward else 1 - lit.value_when_true
+        away = 1 - toward
+        n = self.f.n
+        for v in range(n):
+            if v not in base:
+                base[v] = 1 - away if self._flips.get(v, False) else away
+        tracked = frozenset(self._switches) | cert_vars
+        costs = CostVector.of([1 if v in tracked else 0 for v in range(n)])
+        return costs, SwitchAdversary(n, base, tracked)
+
+    def mixed_solution(self) -> LpSolution:
+        """Averaging the per-setting optima gives a feasible full-program vector.
+
+        Switches get weight 1.  A proof that avoids every switch restricts
+        to a proof under each setting, so the averaged cover still reaches
+        1; proofs reading a switch are covered by its unit weight.  The
+        objective is at most the switch count plus the largest setting
+        optimum, which never exceeds the largest branch proof.
+        """
+        k = len(self._switches)
+        values = [ZERO] * self.f.n
+        for z in self._switches:
+            values[z] = ONE
+        share = Fraction(1, 1 << k)
+        for _, g, kept, _ in self._branches:
+            if g.is_constant() is not None:
+                continue
+            sol = lp_solution(g)
+            for j, v in enumerate(kept):
+                values[v] += share * sol.values[j]
+        rows = build_lp(self.f).rows
+        for row in rows:
+            if sum(values[v] for v in row) < 1:
+                raise PricedBoolError("the averaged branch vector misses a covering row")
+        objective = sum(values)
+        if objective > k + self.proofs.size:
+            raise PricedBoolError("the averaged branch vector exceeds its intended bound")
+        return LpSolution(tuple(values), objective, len(rows), "feasible")

@@ -76,7 +76,9 @@ class SymmetricProfile:
 
 
 def profile_of(f: BooleanFunction) -> Optional[SymmetricProfile]:
-    """The profile of f, or None when f is not symmetric."""
+    """The profile of f, or None when f is not symmetric or has no variables."""
+    if f.n == 0:
+        return None
     ones = _popcounts(f.n)
     values = []
     for k in range(f.n + 1):

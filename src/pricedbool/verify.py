@@ -359,15 +359,14 @@ def check_switch_certification(seed: int) -> dict:
         cases += 1
         entry = []
         try:
-            f = dnf.function()
-            target = len(switches) + lp.branch_proof_size(dnf, switches).size
-            mixed = lp.mixed_branch_solution(dnf, switches)
+            analysis = lp.SwitchAnalysis(dnf, switches)
+            f = analysis.f
+            target = len(switches) + analysis.proofs.size
+            mixed = analysis.mixed_solution()
             if mixed.status != "feasible" or not mixed.objective <= target:
                 entry.append(f"averaged vector objective {mixed.objective} vs "
                              f"bound {target}")
-            setting, certificate, side = lp.find_certified_switch(dnf, switches)
-            costs, adversary = lp.switch_adversary(dnf, switches, setting,
-                                                   certificate, side)
+            costs, adversary = analysis.adversary(*analysis.certified_switch())
             for kind, algorithm in (("greedy", harness.greedy_strategy(costs)),
                                     ("lpa", lp.lp_guided_strategy(f, costs))):
                 forced = harness.adversarial_ratio(algorithm, f, adversary, costs).ratio

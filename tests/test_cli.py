@@ -226,3 +226,36 @@ def test_flags_a_verb_ignores_are_usage_errors(capsys, argv):
         main(list(argv))
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("token", ["parity:0", "x0 | !x0", "sym:11"])
+def test_lpa_refuses_a_constant_function(capsys, token):
+    code, out, err = run_cli(capsys, "lp", "lpa", "--f", token)
+    assert (code, out) == (2, "")
+    assert err == "error: the guided-reader bound is undefined for constant functions\n"
+
+
+def test_ratio_of_the_zero_variable_function_is_one(capsys):
+    code, out, err = run_cli(capsys, "ratio", "--f", "parity:0")
+    assert (code, err) == (0, "")
+    assert "ratio: 1\n" in out and "symmetric formula" not in out
+
+
+@pytest.mark.parametrize("token, n", [("parity:-1", -1), ("majority:-3", -3)])
+def test_negative_variable_counts_are_named(capsys, token, n):
+    code, _, err = run_cli(capsys, "analyze", "--f", token)
+    assert code == 2
+    assert err == f"error: a function needs n >= 0 variables, got n={n}\n"
+
+
+@pytest.mark.parametrize("argv, verdict", [
+    (("--f", "x0 | x1", "--adversary", "winners"),
+     "check the winners adversary holds greedy within the formula value: pass (2 <= 2)"),
+    (("--f", "sym:00111", "--adversary", "survivors"),
+     "check the survivors adversary holds greedy within the formula value: pass (3 <= 3)"),
+])
+def test_maxterm_adversary_verdict_names_the_adversary_that_ran(capsys, argv, verdict):
+    code, out, _ = run_cli(capsys, "ratio", *argv)
+    assert code == 0
+    assert verdict in out.splitlines()
+    assert "symmetric adversary" not in out

@@ -6,7 +6,8 @@ when no report is written).  The digests pin the output bytes of every
 verb, so a refactor that changes any of them fails here in about a
 second, long before the `verify all` comparison of the acceptance suite.
 The `gen` reports carry `meta.seed` (and `meta.caps.requested` under
---cap-n) like every other verb.
+--cap-n) like every other verb.  New entries go at the end of the list,
+because each test id carries its entry's index.
 """
 
 import hashlib
@@ -90,6 +91,32 @@ GOLDEN = [
      2, 'e3b0c44298fc1c14', 'c6ecc01bbf5e5a21', None),
     (('quad', 'analyze', '--f', 'parity:15'),
      2, 'e3b0c44298fc1c14', 'c8c9e399a077efdd', None),
+    # lp lemma2 on more switch instances, and each of its input errors
+    (('lp', 'lemma2', '--f', 'family:2,1'),
+     0, '8fc747262d985f5f', 'e3b0c44298fc1c14', '8c8bb6b8ca3c9222'),
+    (('lp', 'lemma2', '--f', 'fstar:2'),
+     0, 'c56d1add868f656b', 'e3b0c44298fc1c14', 'dabff36d4a0cadab'),
+    (('lp', 'lemma2', '--f', 'x0 & x1 & x3 | !x0 & x2 | !x3 & x2'),
+     0, '4c2d0fca46237a04', 'e3b0c44298fc1c14', '401201271b54378d'),
+    (('lp', 'lemma2', '--f', 'family:1,8'),
+     2, 'e3b0c44298fc1c14', '50b66c3ff3bec328', None),
+    (('lp', 'lemma2', '--f', 'x0 | !x0'),
+     2, 'e3b0c44298fc1c14', '6e8707856673c7c1', None),
+    (('lp', 'lemma2', '--f', 'x0 & x1 | !x0 & x1'),
+     2, 'e3b0c44298fc1c14', '2cac50715d6a68f1', None),
+    (('lp', 'lemma2', '--f', 'majority:3'),
+     2, 'e3b0c44298fc1c14', 'f9278d292b8c3fc6', None),
+    # the maxterm adversaries' own verdict, and constant or zero-variable inputs
+    (('ratio', '--f', 'x0 | x1', '--adversary', 'winners'),
+     0, '4d103003187751c0', 'e3b0c44298fc1c14', 'c28ccae56c7e5fcd'),
+    (('ratio', '--f', 'sym:00111', '--adversary', 'survivors'),
+     0, '486da2190d68a79d', 'e3b0c44298fc1c14', 'ed2facbeccc45cec'),
+    (('ratio', '--f', 'parity:0'),
+     0, '5e537f0e17d54978', 'e3b0c44298fc1c14', '7293cefd8157efaf'),
+    (('lp', 'lpa', '--f', 'parity:0'),
+     2, 'e3b0c44298fc1c14', 'a69c435508677c85', None),
+    (('analyze', '--f', 'parity:-1'),
+     2, 'e3b0c44298fc1c14', '1bdd1e5f1d3e117b', None),
 ]
 
 

@@ -25,17 +25,14 @@ from pricedbool.core import (
 from pricedbool.harness import competitive_ratio_exhaustive, greedy_strategy
 from pricedbool.lp import (
     ProofLp,
-    branch_proof_size,
+    SwitchAnalysis,
     build_lp,
-    find_certified_switch,
     lp_guided_strategy,
     lp_objective,
     lp_solution,
     make_switch_family,
     max_restriction_objective,
-    mixed_branch_solution,
     solve_lp,
-    switch_adversary,
     switch_example,
 )
 
@@ -205,21 +202,21 @@ def test_guided_reader_charges_survive_a_luring_chain():
 def test_polarity_hypothesis_is_checked():
     gd, _ = switch_example()
     with pytest.raises(PricedBoolError, match="must appear both plain and negated"):
-        branch_proof_size(gd, {0})
+        SwitchAnalysis(gd, {0})
     with pytest.raises(PricedBoolError, match="is not a switch"):
-        branch_proof_size(parse_dnf("x0 & !x1 | x1 & !x0"), {0})
+        SwitchAnalysis(parse_dnf("x0 & !x1 | x1 & !x0"), {0})
 
 
 def test_branch_proofs_of_the_switch_example():
     gd, switches = switch_example()
-    proofs = branch_proof_size(gd, switches)
+    proofs = SwitchAnalysis(gd, switches).proofs
     assert proofs.size == 2
     assert proofs.argmax == ((0,), (1,))
 
 
 def test_mixed_solution_is_feasible_and_small():
     gd, switches = switch_example()
-    mixed = mixed_branch_solution(gd, switches)
+    mixed = SwitchAnalysis(gd, switches).mixed_solution()
     assert mixed.status == "feasible"
     assert mixed.values == (F(1, 2), F(1, 2), F(1, 2), F(1, 2), 1)
     assert mixed.objective == 3  # = switches + branch proof size
@@ -229,9 +226,9 @@ def test_mixed_solution_is_feasible_and_small():
 
 def test_certified_switch_oracles():
     gd, switches = switch_example()
-    assert find_certified_switch(gd, switches) == ((0,), (0, 1), "minterm")
+    assert SwitchAnalysis(gd, switches).certified_switch() == ((0,), (0, 1), "minterm")
     fam = make_switch_family(2, 1)
-    assert find_certified_switch(fam.dnf(), fam.switch_variables) == \
+    assert SwitchAnalysis(fam.dnf(), fam.switch_variables).certified_switch() == \
         ((0, 0), (0,), "minterm")
 
 
@@ -240,9 +237,10 @@ def test_switch_adversary_forces_the_target():
 
     gd, switches = switch_example()
     g = gd.function()
-    setting, certificate, side = find_certified_switch(gd, switches)
-    costs, adversary = switch_adversary(gd, switches, setting, certificate, side)
-    target = len(frozenset(switches)) + branch_proof_size(gd, switches).size
+    analysis = SwitchAnalysis(gd, switches)
+    setting, certificate, side = analysis.certified_switch()
+    costs, adversary = analysis.adversary(setting, certificate, side)
+    target = len(frozenset(switches)) + analysis.proofs.size
     for alg in (greedy_strategy(costs), lp_guided_strategy(g, costs)):
         rep = adversarial_ratio(alg, g, adversary, costs)
         assert rep.ratio >= target
@@ -253,7 +251,10 @@ def test_switch_adversary_forces_the_target():
 def test_switch_adversary_rejects_a_bad_certificate():
     gd, switches = switch_example()
     with pytest.raises(PricedBoolError, match="not a minterm"):
-        switch_adversary(gd, switches, (0,), (2, 3), "minterm")
+        SwitchAnalysis(gd, switches).adversary((0,), (2, 3), "minterm")
+    # both settings leave x1, so the other one certifies inside {x1}
+    with pytest.raises(PricedBoolError, match="another setting certifies inside"):
+        SwitchAnalysis(parse_dnf("x0 & x1 | !x0 & x1"), {0}).adversary((0,), (1,))
 
 
 def test_z_free_proofs_decompose_into_branch_minterms():
@@ -298,3 +299,20 @@ def _assert_decomposition(dnf, switch_list):
         assert any(
             frozenset().union(*({lit.variable for lit in t} for t in pick)) == proof.variables
             for pick in itertools.product(*options)), proof.variables
+
+
+@pytest.mark.parametrize("token, passes", [("g", 2), ("family:2,1", 4)])
+def test_lemma2_sweeps_each_branch_once(monkeypatch, capsys, token, passes):
+    from pricedbool import cli, core
+
+    calls = []
+    original = core._sweep_minimal
+
+    def counted(f):
+        calls.append(f.n)
+        return original(f)
+
+    monkeypatch.setattr(core, "_sweep_minimal", counted)
+    assert cli.main(["lp", "lemma2", "--f", token]) == 0
+    assert "certified setting" in capsys.readouterr().out
+    assert len(calls) == passes  # one certificate sweep per switch setting
