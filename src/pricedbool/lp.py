@@ -103,11 +103,10 @@ def _optimal_value(n: int, rows) -> tuple[Fraction, list[Fraction]]:
     optimal primal vector, and matching objectives certify optimality.
     """
     m = len(rows)
-    a = [[ONE if i in rows[j] else ZERO for j in range(m)] for i in range(n)]
-    res = simplex_max(a, [ONE] * n, [ONE] * m)
-    values = [Fraction(x) for x in res.duals]
-    _certify(rows, values, res.value)
-    return res.value, values
+    a = [[1 if i in rows[j] else 0 for j in range(m)] for i in range(n)]
+    res = simplex_max(a, [1] * n, [1] * m)
+    _certify(rows, res.duals, res.value)
+    return res.value, res.duals
 
 
 def _face_program(rows, objective, pins: dict, free: list) -> list:
@@ -116,33 +115,33 @@ def _face_program(rows, objective, pins: dict, free: list) -> list:
     k = len(free)
     cons = []
     for row in rows:
-        rhs = ONE - sum(pins[v] for v in row if v in pins)
+        rhs = 1 - sum(pins[v] for v in row if v in pins)
         if rhs <= 0:
             continue
-        coeffs = [ZERO] * k
+        coeffs = [0] * k
         hit = False
         for v in row:
             if v in pos:
-                coeffs[pos[v]] = ONE
+                coeffs[pos[v]] = 1
                 hit = True
         if not hit:
             raise PricedBoolError("covering program refinement lost feasibility")
         cons.append((coeffs, ">=", rhs))
-    cons.append(([ONE] * k, "==", objective - sum(pins.values())))
+    cons.append(([1] * k, "==", objective - sum(pins.values())))
     return cons
 
 
 def _face_floor(rows, objective, pins: dict, free: list) -> tuple[Fraction, list]:
     """Highest common floor under the free coordinates, with a witness point."""
     k = len(free)
-    cons = [(coeffs + [ZERO], rel, rhs)
+    cons = [(coeffs + [0], rel, rhs)
             for coeffs, rel, rhs in _face_program(rows, objective, pins, free)]
     for j in range(k):
-        gap = [ZERO] * (k + 1)
-        gap[j] = ONE
-        gap[k] = -ONE
-        cons.append((gap, ">=", ZERO))
-    res = simplex_min([ZERO] * k + [-ONE], cons)
+        gap = [0] * (k + 1)
+        gap[j] = 1
+        gap[k] = -1
+        cons.append((gap, ">=", 0))
+    res = simplex_min([0] * k + [-1], cons)
     return -res.value, res.solution[:k]
 
 
@@ -152,11 +151,11 @@ def _face_ceiling(rows, objective, pins: dict, free: list, v: int,
     k = len(free)
     cons = _face_program(rows, objective, pins, free)
     for j in range(k):
-        lift = [ZERO] * k
-        lift[j] = ONE
+        lift = [0] * k
+        lift[j] = 1
         cons.append((lift, ">=", floor))
-    c = [ZERO] * k
-    c[free.index(v)] = -ONE
+    c = [0] * k
+    c[free.index(v)] = -1
     return -simplex_min(c, cons).value
 
 
@@ -506,7 +505,13 @@ class SwitchAnalysis:
                 raise PricedBoolError(f"switch setting {setting} leaves a non-monotone function "
                                       "after polarity normalization")
             _require_cap(g.n, PROOF_ENUM_CAP, "proof enumeration")
-            sides = certificates(g) if g.is_constant() is None else ((), ())
+            value = g.is_constant()
+            if value is None:
+                sides = certificates(g)
+            else:
+                # a constant branch certifies its value by the empty term,
+                # which lies inside every variable set
+                sides = ((frozenset(),), ()) if value else ((), (frozenset(),))
             terms = {side: [frozenset(Literal(kept[lit.variable], lit.negated) for lit in term)
                             for term in side_terms]
                      for side, side_terms in zip(("minterm", "maxterm"), sides)}
@@ -612,7 +617,12 @@ class SwitchAnalysis:
         rows = build_lp(self.f).rows
         for row in rows:
             if sum(values[v] for v in row) < 1:
-                raise PricedBoolError("the averaged branch vector misses a covering row")
+                # a constant branch adds no weight where the argument needs it
+                constant = next((setting for setting, g, _, _ in self._branches
+                                 if g.is_constant() is not None), None)
+                reason = "" if constant is None else \
+                    f": switch setting {constant} leaves a constant function"
+                raise PricedBoolError("the averaged branch vector misses a covering row" + reason)
         objective = sum(values)
         if objective > k + self.proofs.size:
             raise PricedBoolError("the averaged branch vector exceeds its intended bound")

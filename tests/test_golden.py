@@ -117,6 +117,11 @@ GOLDEN = [
      2, 'e3b0c44298fc1c14', 'a69c435508677c85', None),
     (('analyze', '--f', 'parity:-1'),
      2, 'e3b0c44298fc1c14', '1bdd1e5f1d3e117b', None),
+    # switch settings that leave a constant branch
+    (('lp', 'lemma2', '--f', 'x0 & x1 | !x0 & x2 & x3 | x0 & !x2'),
+     2, 'e3b0c44298fc1c14', '2cac50715d6a68f1', None),
+    (('lp', 'lemma2', '--f', 'x0 & x1 & x2 | !x0 & !x1 & x3'),
+     2, 'e3b0c44298fc1c14', '6ba1e6747f4cdd58', None),
 ]
 
 

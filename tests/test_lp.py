@@ -1,6 +1,8 @@
 """The covering program, its canonical solution, the guided reader, switches."""
 
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -35,6 +37,7 @@ from pricedbool.lp import (
     solve_lp,
     switch_example,
 )
+from pricedbool.verify import _monotone_battery
 
 F = Fraction
 
@@ -110,6 +113,29 @@ def test_objective_within_the_largest_proof():
     for _ in range(30):
         f = random_function(rng, rng.randint(2, 6))
         assert lp_objective(f) <= max_proof_size(f)
+
+
+def _gate_functions():
+    yield from _monotone_battery(0)[0]
+    rng = random.Random(500)
+    for _ in range(300):
+        yield random_function(rng, rng.randint(4, 6))
+    for n in range(3, 8):
+        yield majority(n)
+    for k, t in ((1, 2), (2, 1)):
+        yield make_switch_family(k, t).function()
+
+
+def test_lp_solution_bytes_are_pinned():
+    # sha256 prefix recorded before the simplex moved to integer rows; the
+    # lex-max-min point is unique, so any correct solver reproduces it
+    digest = hashlib.sha256()
+    count = 0
+    for f in _gate_functions():
+        digest.update(json.dumps(lp_solution(f).to_json(), sort_keys=True).encode())
+        count += 1
+    assert count == 166 + 300 + 5 + 2
+    assert digest.hexdigest()[:16] == "6b5995b932c845a0"
 
 
 def test_solution_json_shape():
@@ -255,6 +281,24 @@ def test_switch_adversary_rejects_a_bad_certificate():
     # both settings leave x1, so the other one certifies inside {x1}
     with pytest.raises(PricedBoolError, match="another setting certifies inside"):
         SwitchAnalysis(parse_dnf("x0 & x1 | !x0 & x1"), {0}).adversary((0,), (1,))
+
+
+def test_constant_branches_certify_inside_every_set():
+    # switches x0, x2: setting (1, 0) leaves the constant 1, whose empty
+    # minterm lies inside the variables of every other setting's minterms
+    analysis = SwitchAnalysis(parse_dnf("x0 & x1 | !x0 & x2 & x3 | x0 & !x2"), {0, 2})
+    with pytest.raises(PricedBoolError, match="no largest certificate qualifies"):
+        analysis.certified_switch()
+    with pytest.raises(PricedBoolError, match="another setting certifies inside"):
+        analysis.adversary((0, 1), (3,), "minterm")
+    # switches x0, x1: settings (1, 0) and (0, 1) leave the constant 0, whose
+    # empty maxterm spoils every maxterm of the others but no minterm
+    analysis = SwitchAnalysis(parse_dnf("x0 & x1 & x2 | !x0 & !x1 & x3"), {0, 1})
+    assert analysis.certified_switch() == ((0, 0), (3,), "minterm")
+    with pytest.raises(PricedBoolError, match="another setting certifies inside"):
+        analysis.adversary((0, 0), (3,), "maxterm")
+    with pytest.raises(PricedBoolError, match=r"setting \(1, 0\) leaves a constant function"):
+        analysis.mixed_solution()
 
 
 def test_z_free_proofs_decompose_into_branch_minterms():

@@ -1,10 +1,15 @@
 """Exact simplex: hand-checked programs and degenerate cases."""
 
+import collections
+import random
 from fractions import Fraction
 
 import pytest
 
+from pricedbool import simplex
+from pricedbool.lp import build_lp
 from pricedbool.simplex import simplex_max, simplex_min
+from pricedbool.verify import _monotone_battery
 
 F = Fraction
 
@@ -76,3 +81,231 @@ def test_degenerate_cycling_guard():
                        ([F(1, 2), F(-90), F(-1, 50), F(3)], "<=", F(0)),
                        ([F(0), F(0), F(1), F(0)], "<=", F(1))])
     assert res.value == F(-1, 20)
+
+
+def test_unknown_relation_is_named():
+    with pytest.raises(ValueError, match="unknown constraint relation '<'"):
+        simplex_min([1], [([1], "<", 2)])
+    with pytest.raises(ValueError, match="unknown constraint relation '=>'"):
+        simplex_min([1], [([1], "=>", -2)])
+
+
+# --- the dense Fraction tableau the integer rows replaced, as an oracle -------
+
+
+def _ref_pivot(rows, obj, basis, leave, enter, log):
+    log.append((leave, enter))
+    pivot = rows[leave][enter]
+    if pivot != 1:
+        rows[leave] = [x / pivot for x in rows[leave]]
+    prow = rows[leave]
+    for i in range(len(rows)):
+        coef = rows[i][enter]
+        if i != leave and coef != 0:
+            rows[i] = [x - coef * p for x, p in zip(rows[i], prow)]
+    coef = obj[enter]
+    if coef != 0:
+        obj[:] = [x - coef * p for x, p in zip(obj, prow)]
+    basis[leave] = enter
+
+
+def _ref_optimize(rows, obj, basis, limit, log):
+    while True:
+        enter = next((j for j in range(limit) if obj[j] < 0), -1)
+        if enter < 0:
+            return
+        leave = -1
+        best = None
+        for i in range(len(rows)):
+            coef = rows[i][enter]
+            if coef > 0:
+                ratio = rows[i][-1] / coef
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            raise ValueError("unbounded linear program")
+        _ref_pivot(rows, obj, basis, leave, enter, log)
+
+
+def _ref_max(a, b, c, log):
+    m, n = len(a), len(c)
+    for bi in b:
+        if bi < 0:
+            raise ValueError("simplex_max needs b >= 0")
+    rows = []
+    for i in range(m):
+        row = [F(x) for x in a[i]] + [F(0)] * m + [F(b[i])]
+        row[n + i] = F(1)
+        rows.append(row)
+    obj = [-F(x) for x in c] + [F(0)] * (m + 1)
+    basis = [n + i for i in range(m)]
+    _ref_optimize(rows, obj, basis, n + m, log)
+    solution = [F(0)] * n
+    for i, var in enumerate(basis):
+        if var < n:
+            solution[var] = rows[i][-1]
+    return obj[-1], solution, obj[n:n + m]
+
+
+def _ref_min(c, constraints, log):
+    n = len(c)
+    norm = []
+    for coeffs, rel, rhs in constraints:
+        row = [F(x) for x in coeffs]
+        rhs = F(rhs)
+        if rhs < 0:
+            row = [-x for x in row]
+            rhs = -rhs
+            rel = {"<=": ">=", ">=": "<=", "==": "=="}[rel]
+        norm.append((row, rel, rhs))
+    extras = [i for i, (_, rel, _) in enumerate(norm) if rel != "=="]
+    art_rows = [i for i, (_, rel, _) in enumerate(norm) if rel != "<="]
+    art_base = n + len(extras)
+    width = art_base + len(art_rows) + 1
+    extra_of = {row: n + k for k, row in enumerate(extras)}
+    art_of = {row: art_base + k for k, row in enumerate(art_rows)}
+    rows, basis = [], []
+    for i, (coeffs, rel, rhs) in enumerate(norm):
+        row = coeffs + [F(0)] * (width - n - 1) + [rhs]
+        if rel == "<=":
+            row[extra_of[i]] = F(1)
+            basis.append(extra_of[i])
+        else:
+            if rel == ">=":
+                row[extra_of[i]] = F(-1)
+            row[art_of[i]] = F(1)
+            basis.append(art_of[i])
+        rows.append(row)
+    obj = [F(0)] * width
+    for i in art_rows:
+        obj = [x - y for x, y in zip(obj, rows[i])]
+    for i in art_rows:
+        obj[art_of[i]] += 1
+    _ref_optimize(rows, obj, basis, art_base, log)
+    if obj[-1] != 0:
+        raise ValueError("infeasible linear program")
+    keep = []
+    for i in range(len(rows)):
+        if basis[i] >= art_base:
+            enter = next((j for j in range(art_base) if rows[i][j] != 0), None)
+            if enter is None:
+                continue
+            _ref_pivot(rows, obj, basis, i, enter, log)
+        keep.append(i)
+    rows = [rows[i] for i in keep]
+    basis = [basis[i] for i in keep]
+    obj = [F(x) for x in c] + [F(0)] * (width - n)
+    for i, var in enumerate(basis):
+        coef = obj[var]
+        if coef != 0:
+            obj = [x - coef * y for x, y in zip(obj, rows[i])]
+    _ref_optimize(rows, obj, basis, art_base, log)
+    solution = [F(0)] * n
+    for i, var in enumerate(basis):
+        if var < n:
+            solution[var] = rows[i][-1]
+    return sum(ci * xi for ci, xi in zip(c, solution)), solution, []
+
+
+def _outcome(solve):
+    try:
+        return solve()
+    except ValueError as err:
+        return str(err)
+
+
+@pytest.fixture
+def pivot_log(monkeypatch):
+    """The (leave, enter) pairs simplex._pivot is called with."""
+    log = []
+    real = simplex._pivot
+
+    def logged(rows, obj, basis, leave, enter):
+        log.append((leave, enter))
+        real(rows, obj, basis, leave, enter)
+
+    monkeypatch.setattr(simplex, "_pivot", logged)
+    return log
+
+
+def _agree(pivot_log, ours, reference):
+    """Same result (or error) and the same pivots from both solvers."""
+    pivot_log.clear()
+    got = _outcome(lambda: _triple(ours()))
+    expected = []
+    want = _outcome(lambda: reference(expected))
+    assert got == want
+    assert pivot_log == expected
+    return got
+
+
+def _triple(res):
+    assert all(type(x) is Fraction for x in [res.value, *res.solution, *res.duals])
+    return res.value, res.solution, res.duals
+
+
+def _entry(rng):
+    # small integers, zeros for degeneracy, and a few proper fractions
+    pick = rng.random()
+    if pick < 0.3:
+        return 0
+    if pick < 0.85:
+        return rng.randint(-3, 3)
+    return F(rng.randint(-5, 5), rng.randint(2, 4))
+
+
+def _random_min_program(rng):
+    n = rng.randint(1, 5)
+    c = [_entry(rng) for _ in range(n)]
+    constraints = []
+    for _ in range(rng.randint(0, 6)):
+        if constraints and rng.random() < 0.15:
+            constraints.append(rng.choice(constraints))  # a duplicated row
+            continue
+        coeffs = [_entry(rng) for _ in range(n)]
+        rhs = 0 if rng.random() < 0.3 else _entry(rng)
+        constraints.append((coeffs, rng.choice(("<=", ">=", "==")), rhs))
+    return c, constraints
+
+
+def _random_max_program(rng):
+    n, m = rng.randint(1, 5), rng.randint(0, 6)
+    a = [[_entry(rng) for _ in range(n)] for _ in range(m)]
+    b = [0 if rng.random() < 0.3 else abs(_entry(rng)) for _ in range(m)]
+    if m and rng.random() < 0.03:
+        b[rng.randrange(m)] = -1
+    c = [_entry(rng) for _ in range(n)]
+    return a, b, c
+
+
+def test_integer_rows_match_the_fraction_tableau(pivot_log):
+    rng = random.Random(2024)
+    seen = collections.Counter()
+    for _ in range(2000):
+        c, constraints = _random_min_program(rng)
+        got = _agree(pivot_log, lambda: simplex_min(c, constraints),
+                     lambda log: _ref_min(c, constraints, log))
+        seen[got if isinstance(got, str) else "optimal"] += 1
+        seen["degenerate"] += any(rhs == 0 for _, _, rhs in constraints)
+    for _ in range(1000):
+        a, b, c = _random_max_program(rng)
+        got = _agree(pivot_log, lambda: simplex_max(a, b, c),
+                     lambda log: _ref_max(a, b, c, log))
+        seen["max " + (got if isinstance(got, str) else "optimal")] += 1
+    # every kind of outcome turns up often enough to be checked
+    assert min(seen[k] for k in ("optimal", "infeasible linear program",
+                                 "unbounded linear program", "degenerate",
+                                 "max optimal", "max unbounded linear program",
+                                 "max simplex_max needs b >= 0")) >= 20, seen
+
+
+def test_covering_duals_match_the_fraction_tableau(pivot_log):
+    checked = 0
+    for f in _monotone_battery(0)[0]:
+        rows = build_lp(f).rows
+        a = [[1 if i in row else 0 for row in rows] for i in range(4)]
+        b, c = [1] * 4, [1] * len(rows)
+        _agree(pivot_log, lambda: simplex_max(a, b, c), lambda log: _ref_max(a, b, c, log))
+        checked += 1
+    assert checked == 166
