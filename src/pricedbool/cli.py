@@ -570,8 +570,14 @@ _COMMANDS = {
 }
 
 
+_PARSER: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _PARSER
+    if _PARSER is None:  # built on the first call, reused by every later one
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (PricedBoolError, ValueError, OSError) as e:

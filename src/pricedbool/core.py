@@ -3,8 +3,10 @@
 Truth-table functions, partial assignments, exact rational cost vectors,
 and the certificate machinery on top of them: proofs (variable sets that
 pin the function value down for some witness), and cheapest-proof
-search.  The proofs forcing 1 are the minterms and those forcing 0 the
-maxterms, so one sweep over the variable masks finds all three.
+search.  All of it reads one subcube table per function: f's value on
+each of the 3**n subcubes, or 2 where f is not constant.  A proof is a
+constant subcube that no freed variable keeps constant; those forcing 1
+are the minterms and those forcing 0 the maxterms.
 
 Conventions used throughout the package:
 
@@ -362,7 +364,7 @@ class Restriction(NamedTuple):
 class BooleanFunction:
     """An n-variable Boolean function as an immutable truth table."""
 
-    __slots__ = ("n", "table", "_key")
+    __slots__ = ("n", "table", "_key", "_subcubes")
 
     def __init__(self, table, n: int | None = None):
         arr = np.array(table, dtype=bool).ravel()
@@ -377,6 +379,7 @@ class BooleanFunction:
         self.n = bits
         self.table = arr
         self._key = (bits, arr.tobytes())
+        self._subcubes = None
 
     @classmethod
     def constant(cls, n: int, value: int) -> "BooleanFunction":
@@ -436,6 +439,12 @@ class BooleanFunction:
         kept = tuple(v for v in range(self.n) if not assignment.mask >> v & 1)
         return Restriction(BooleanFunction(table), kept)
 
+    def subcube_table(self) -> np.ndarray:
+        """f's value on every subcube (see `_build_subcubes`), built once."""
+        if self._subcubes is None:
+            self._subcubes = _build_subcubes(self)
+        return self._subcubes
+
     def is_monotone(self) -> bool:
         idx = np.arange(1 << self.n, dtype=np.int64)
         for v in range(self.n):
@@ -445,7 +454,7 @@ class BooleanFunction:
         return True
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _free_offsets(n: int, bound_mask: int) -> np.ndarray:
     """Flat table offsets of the subcube where the bound variables are zero."""
     free = [v for v in range(n) if not bound_mask >> v & 1]
@@ -456,97 +465,52 @@ def _free_offsets(n: int, bound_mask: int) -> np.ndarray:
     return idx
 
 
-def _group_index(n: int, mask: int) -> np.ndarray:
-    """For every assignment index, the values of the masked variables, packed."""
-    if n <= 10:
-        return _group_index_cached(n, mask)
-    return _group_index_raw(n, mask)
-
-
-@lru_cache(maxsize=None)
-def _group_index_cached(n: int, mask: int) -> np.ndarray:
-    return _group_index_raw(n, mask)
-
-
-def _group_index_raw(n: int, mask: int) -> np.ndarray:
-    idx = np.arange(1 << n, dtype=np.int64)
-    out = np.zeros_like(idx)
-    t = 0
-    for v in range(n):
-        if mask >> v & 1:
-            out |= ((idx >> v) & 1) << t
-            t += 1
-    return out
-
-
 def _mask_vars(mask: int) -> list[int]:
     return [v for v in range(mask.bit_length()) if mask >> v & 1]
 
 
-def _restriction_view(f: BooleanFunction, mask: int) -> np.ndarray:
-    """Sub-tables of f, one row per value-combo of the masked variables.
+def _build_subcubes(f: BooleanFunction) -> np.ndarray:
+    """The value of f on every subcube, 2 where f is not constant there.
 
-    Row combo bit t is the value of the t-th masked variable in
-    increasing variable order; each row is the table of the induced
-    function on the free variables, again in increasing variable order.
+    The table is uint8 with shape (3,)*n.  Axis k is variable n-1-k, as
+    in ``f.table.reshape((2,)*n)``; digits 0 and 1 bind the variable to
+    that value and digit 2 leaves it free.  Each fold appends the free
+    digit of one variable: the two bound halves where they agree, else 2.
+    """
+    _require_cap(f.n, PROOF_ENUM_CAP, "the subcube table")
+    t = f.table.astype(np.uint8)
+    for v in range(f.n):
+        # variables below v already have three digits, so v's stride is 3**v
+        t = t.reshape(-1, 2, 3 ** v)
+        lo, hi = t[:, :1], t[:, 1:]
+        t = np.concatenate([t, np.where(lo == hi, lo, 2)], axis=1)
+    t = t.reshape((3,) * f.n)
+    t.setflags(write=False)
+    return t
+
+
+def _sweep_minimal(f: BooleanFunction) -> list[tuple[int, int, int]]:
+    """Every proof of f as (mask, bits, forced value), by size, mask, bits.
+
+    A subcube is a proof when f is constant on it and freeing any one of
+    its bound variables loses that; a freed subcube is wider, so it can
+    only force the same value.
     """
     n = f.n
-    variables = _mask_vars(mask)
-    k = len(variables)
-    arr = f.table.reshape((2,) * n)
-    axes = [n - 1 - v for v in reversed(variables)]
-    return np.moveaxis(arr, axes, range(k)).reshape(1 << k, -1)
-
-
-def _det_arrays(f: BooleanFunction, mask: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per value-combo of the masked variables: is f constant, and its value."""
-    if mask == 0:
-        c = f.is_constant()
-        return np.array([c is not None]), np.array([bool(c)])
-    view = _restriction_view(f, mask)
-    const = (view == view[:, :1]).all(axis=1)
-    return const, view[:, 0].copy()
-
-
-def _drop_bit_index(k: int, pos: int) -> np.ndarray:
-    """Map each k-bit combo to the (k-1)-bit combo with bit `pos` removed."""
-    i = np.arange(1 << k, dtype=np.int64)
-    return (i & ((1 << pos) - 1)) | ((i >> (pos + 1)) << pos)
-
-
-def _sweep_minimal(f: BooleanFunction):
-    """Yield (mask, proof flags, forced values) for each mask with a proof.
-
-    A combo of the masked variables is a proof when it forces f and no
-    single-variable removal still does; ``forced[combo]`` is its value.
-    A removal widens the subcube, so it can only force that same value.
-    Masks are visited in increasing popcount order.
-    """
-    n = f.n
-    forcing: dict[int, np.ndarray] = {}
-    masks = sorted(range(1 << n), key=lambda m: (m.bit_count(), m))
-    for mask in masks:
-        const, forced = _det_arrays(f, mask)
-        forcing[mask] = const
-        if not const.any():
-            continue
-        minimal = const.copy()
-        variables = _mask_vars(mask)
-        k = len(variables)
-        for pos, v in enumerate(variables):
-            sub = forcing[mask ^ (1 << v)]
-            minimal &= ~sub[_drop_bit_index(k, pos)]
-            if not minimal.any():
-                break
-        if minimal.any():
-            yield mask, minimal, forced
-
-
-def _combo_assignment(n: int, mask: int, combo: int) -> PartialAssignment:
-    bits = 0
-    for t, v in enumerate(_mask_vars(mask)):
-        bits |= ((combo >> t) & 1) << v
-    return PartialAssignment(n, mask, bits)
+    table = f.subcube_table().reshape(-1)
+    const = table != 2
+    minimal = const.copy()
+    for v in range(n):
+        minimal.reshape(-1, 3, 3 ** v)[:, :2] &= ~const.reshape(-1, 3, 3 ** v)[:, 2:]
+    index = np.flatnonzero(minimal)
+    mask = np.zeros_like(index)
+    bits = np.zeros_like(index)
+    for v in range(n):
+        digit = index // 3 ** v % 3
+        mask |= (digit != 2).astype(np.int64) << v
+        bits |= (digit == 1).astype(np.int64) << v
+    proofs = zip(mask.tolist(), bits.tolist(), table[index].tolist())
+    return sorted(proofs, key=lambda p: (p[0].bit_count(), p[0], p[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -579,18 +543,15 @@ def enumerate_proofs(f: BooleanFunction, cap: int = PROOF_ENUM_CAP) -> tuple[Pro
     A constant function has exactly one proof, the empty one.
     """
     _require_cap(f.n, cap, "proof enumeration")
-    out = []
-    for mask, flags, _ in _sweep_minimal(f):
-        variables = frozenset(_mask_vars(mask))
-        for combo in np.flatnonzero(flags):
-            out.append(Proof(variables, _combo_assignment(f.n, mask, int(combo))))
-    return tuple(out)
+    return tuple(Proof(frozenset(_mask_vars(mask)), PartialAssignment(f.n, mask, bits))
+                 for mask, bits, _ in _sweep_minimal(f))
 
 
 def proof_variable_sets(f: BooleanFunction, cap: int = PROOF_ENUM_CAP) -> tuple[frozenset, ...]:
     """The deduplicated variable sets of all proofs, sorted by size then mask."""
     _require_cap(f.n, cap, "proof enumeration")
-    return tuple(frozenset(_mask_vars(mask)) for mask, _, _ in _sweep_minimal(f))
+    masks = dict.fromkeys(mask for mask, _, _ in _sweep_minimal(f))
+    return tuple(frozenset(_mask_vars(mask)) for mask in masks)
 
 
 def max_proof_size(f: BooleanFunction, cap: int = PROOF_ENUM_CAP) -> int:
@@ -607,14 +568,17 @@ def minimal_witness_domains(f: BooleanFunction, cap: int = PROOF_ENUM_CAP) -> tu
     """
     _require_cap(f.n, cap, "proof enumeration")
     n = f.n
-    ok: dict[int, bool] = {}
-    out = []
-    for mask in sorted(range(1 << n), key=lambda m: (m.bit_count(), m)):
-        const, _ = _det_arrays(f, mask)
-        ok[mask] = bool(const.any())
-        if ok[mask] and all(not ok[mask ^ (1 << v)] for v in _mask_vars(mask)):
-            out.append(mask)
-    return tuple(out)
+    # fold each variable's digits to (free, bound): ok[mask] says some
+    # subcube with exactly the variables in mask bound is constant
+    ok = f.subcube_table() != 2
+    for v in range(n):
+        d = ok.reshape(-1, 3, 2 ** v)
+        ok = np.stack([d[:, 2], d[:, 0] | d[:, 1]], axis=1)
+    ok = ok.reshape(-1)
+    minimal = ok.copy()
+    for v in range(n):
+        minimal.reshape(-1, 2, 2 ** v)[:, 1] &= ~ok.reshape(-1, 2, 2 ** v)[:, 0]
+    return tuple(sorted(np.flatnonzero(minimal).tolist(), key=lambda m: (m.bit_count(), m)))
 
 
 # ---------------------------------------------------------------------------
@@ -628,14 +592,10 @@ def certificates(f: BooleanFunction, cap: int = PROOF_ENUM_CAP
     if f.is_constant() is not None:
         raise ConstantFunctionError(f"constant function (value {f.is_constant()}) has no certificates")
     by_value: tuple[list, list] = ([], [])
-    for mask, flags, forced in _sweep_minimal(f):
-        variables = _mask_vars(mask)
-        for combo in np.flatnonzero(flags):
-            value = int(forced[combo])
-            # the literal on x_v that has the forced value under the combo
-            by_value[value].append(frozenset(
-                Literal(v, negated=(int(combo) >> t & 1) != value)
-                for t, v in enumerate(variables)))
+    for mask, bits, value in _sweep_minimal(f):
+        # the literal on x_v that has the forced value under the witness
+        by_value[value].append(frozenset(
+            Literal(v, negated=(bits >> v & 1) != value) for v in _mask_vars(mask)))
     return tuple(by_value[1]), tuple(by_value[0])
 
 
@@ -701,22 +661,22 @@ def cheapest_proof_costs(f: BooleanFunction, costs: CostVector,
     """Cheapest proof cost for every assignment index at once."""
     _require_cap(f.n, cap, "cheapest-proof search")
     n = f.n
-    size = 1 << n
-    out: list[Optional[Fraction]] = [None] * size
-    remaining = size
+    table = f.subcube_table().reshape(-1)
     total = _subset_costs(n, costs)
-    for mask in _subset_order(total):
-        const, _ = _det_arrays(f, mask)
-        if not const.any():
-            continue
-        decided = const[_group_index(n, mask)]
-        for idx in np.flatnonzero(decided):
-            if out[idx] is None:
-                out[idx] = total[mask]
-                remaining -= 1
-        if remaining == 0:
-            break
-    return out  # type: ignore[return-value]
+    order = _subset_order(total)
+    rank = np.empty(1 << n, dtype=np.int32)
+    rank[order] = np.arange(1 << n)
+    # spread each bound set's rank over its subcubes: digits 0 and 1 read
+    # mask bit 1, the free digit mask bit 0
+    for v in range(n):
+        rank = rank.reshape(-1, 2, 3 ** v)[:, [1, 1, 0]]
+    rank = np.where(table != 2, rank.reshape(-1), 1 << n)
+    # push the least rank down every free digit onto the bound ones
+    for v in range(n):
+        r = rank.reshape(-1, 3, 3 ** v)
+        np.minimum(r[:, :2], r[:, 2:], out=r[:, :2])
+    full = rank.reshape((3,) * n)[(slice(0, 2),) * n].reshape(-1)
+    return [total[order[r]] for r in full.tolist()]
 
 
 # ---------------------------------------------------------------------------

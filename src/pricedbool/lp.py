@@ -29,7 +29,6 @@ from .core import (
     PricedBoolError,
     _mask_vars,
     _require_cap,
-    _restriction_view,
     certificates,
     literal_set_key,
     minimal_witness_domains,
@@ -232,25 +231,19 @@ def max_restriction_objective(f: BooleanFunction, cap: int = SEARCH_CAP) -> Frac
     table (or complementary tables) are solved once.
     """
     _require_cap(f.n, cap, "the restriction sweep")
-    n = f.n
+    table = f.subcube_table()
+    cut = (0, 1, slice(0, 2))  # a free digit keeps both values
     best = ZERO
     seen = set()
-    if f.is_constant() is None:
-        seen.add(_canonical_key(f))
-        best = lp_objective(f)
-    for mask in range(1, (1 << n) - 1):
-        view = _restriction_view(f, mask)
-        nonconstant = np.flatnonzero(view.any(axis=1) & ~view.all(axis=1))
-        sub_n = n - mask.bit_count()
-        for r in nonconstant:
-            table = view[r]
-            key = (sub_n, min(table.tobytes(), (~table).tobytes()))
-            if key in seen:
-                continue
-            seen.add(key)
-            value = lp_objective(BooleanFunction(table.copy()))
-            if value > best:
-                best = value
+    for digits in np.argwhere(table == 2).tolist():
+        sub = BooleanFunction(table[tuple(cut[d] for d in digits)])
+        key = _canonical_key(sub)
+        if key in seen:
+            continue
+        seen.add(key)
+        value = lp_objective(sub)
+        if value > best:
+            best = value
     return best
 
 

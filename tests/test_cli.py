@@ -1,9 +1,15 @@
 """The command line surface: pinned outputs, exit codes, report determinism."""
 
+import contextlib
+import io
 import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pricedbool import cli
 from pricedbool.cli import main
 
 
@@ -259,3 +265,89 @@ def test_maxterm_adversary_verdict_names_the_adversary_that_ran(capsys, argv, ve
     assert code == 0
     assert verdict in out.splitlines()
     assert "symmetric adversary" not in out
+
+
+def _outcome(argv):
+    """Exit code, stdout and stderr of one in-process run; argparse exits count."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+_MIXED = [
+    ("analyze", "--f", "fstar:2"),
+    ("--version",),
+    ("lp", "solve", "--f", "majority:3"),
+    ("ratio", "--f", "sym:0110", "--cost", "nope"),
+    ("lp", "delta", "--f", "g", "--cost", "unit"),
+    ("nosuchverb",),
+    ("--help",),
+    ("sym", "--f", "majority:4", "--seed", "x"),
+    ("lp", "--help"),
+    ("analyze", "--f", "x0 & x1 | x2"),
+]
+
+
+def test_the_parser_is_built_once_and_gives_fresh_bytes(monkeypatch):
+    fresh = []
+    for argv in _MIXED:
+        monkeypatch.setattr(cli, "_PARSER", None)
+        fresh.append(_outcome(argv))
+    assert {code for code, _, _ in fresh} == {0, 2}
+    builds = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real())
+    monkeypatch.setattr(cli, "_PARSER", None)
+    for _ in range(2):
+        assert [_outcome(argv) for argv in _MIXED] == fresh
+    assert len(builds) == 1
+
+
+# Command lines of random verbs and --f/--cost/--cap-n tokens, all with n <= 6.
+# Each verb carries whether it takes --cost, so most lines get past argparse.
+_VERBS = st.sampled_from([
+    (("analyze",), False), (("ratio",), True), (("ratio", "--alg", "bf2"), True),
+    (("ratio", "--alg", "lpa"), True), (("ratio", "--adversary", "symmetric"), True),
+    (("ratio", "--adversary", "winners"), True), (("lp", "solve"), False),
+    (("lp", "delta"), False), (("lp", "lpa"), True), (("lp", "family"), False),
+    (("lp", "lemma2"), False), (("quad", "analyze"), False), (("sym",), True),
+    (("gen",), False), (("lp",), False), (("nosuchverb",), False),
+])
+_SMALL = st.integers(-2, 6)
+_LITERAL = st.tuples(st.sampled_from(["", "!"]), st.integers(0, 5)).map("{0[0]}x{0[1]}".format)
+_DNF = st.lists(st.lists(_LITERAL, min_size=1, max_size=3).map(" & ".join),
+                min_size=1, max_size=4).map(" | ".join)
+_F = st.one_of(
+    _SMALL.map("majority:{}".format), _SMALL.map("parity:{}".format),
+    st.text("01", max_size=7).map("sym:{}".format),
+    st.sampled_from(["family:1,1", "family:1,2", "family:2,1", "family:0,1", "family:1,x",
+                     "fstar:1", "fstar:2", "fstar:0", "fstar:", "g"]),
+    _DNF,
+    st.text("x012345!&| ", max_size=12).filter(lambda t: not re.search(r"\d\d", t)),
+)
+_COST_VALUE = st.one_of(st.integers(-2, 9), st.sampled_from(["1/2", "1/0", "x", "", "0.5"]))
+_COST = st.one_of(
+    st.sampled_from(["unit", "extremal", "random", "random:3", "random:-1", "random:x",
+                     "{}", "[1]", "{bad", "nope"]),
+    st.lists(_COST_VALUE, max_size=7).map(
+        lambda values: json.dumps({f"x{v}": c for v, c in enumerate(values)})),
+)
+_CAP = st.integers(-2, 8).map(str) | st.just("x")
+
+
+@settings(max_examples=120, deadline=None)
+@given(_VERBS, _F, st.none() | _COST, st.none() | _CAP)
+def test_random_command_lines_keep_the_error_contract(verb, f, cost, cap):
+    words, takes_cost = verb
+    argv = [*words, "--f", f]
+    if cost is not None and takes_cost:
+        argv += ["--cost", cost]
+    if cap is not None:
+        argv += ["--cap-n", cap]
+    code, _, err = _outcome(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err, argv

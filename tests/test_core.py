@@ -4,9 +4,11 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from pricedbool.core import (
+    PROOF_ENUM_CAP,
     BooleanFunction,
     CapExceeded,
     ConstantFunctionError,
@@ -18,6 +20,7 @@ from pricedbool.core import (
     PricedBoolError,
     certificates,
     cheapest_proof,
+    cheapest_proof_costs,
     cost_json,
     enumerate_proofs,
     literal_set_key,
@@ -25,6 +28,7 @@ from pricedbool.core import (
     majority,
     max_proof_size,
     maxterms,
+    minimal_witness_domains,
     minterms,
     parity,
     parse_cost_json,
@@ -264,17 +268,100 @@ def test_certificates_match_a_brute_force_oracle():
     assert count == 270 + 40
 
 
-def test_analyze_sweeps_the_masks_once(monkeypatch, capsys):
+def test_analyze_builds_one_subcube_table(monkeypatch, capsys):
     from pricedbool import cli, core
 
     calls = []
-    original = core._det_arrays
+    original = core._build_subcubes
 
-    def counted(f, mask):
-        calls.append(mask)
-        return original(f, mask)
+    def counted(f):
+        calls.append(f.n)
+        return original(f)
 
-    monkeypatch.setattr(core, "_det_arrays", counted)
+    monkeypatch.setattr(core, "_build_subcubes", counted)
     assert cli.main(["analyze", "--f", "x0 & x1 | x2 & !x3 | x4"]) == 0
     assert "proofs: " in capsys.readouterr().out
-    assert sorted(calls) == list(range(1 << 5))
+    assert calls == [5]
+
+
+def _subcube_battery():
+    for n in (1, 2, 3):
+        for bits in range(1, (1 << (1 << n)) - 1):
+            yield BooleanFunction([bits >> i & 1 for i in range(1 << n)])
+    rng = random.Random(23)
+    for _ in range(40):
+        yield random_function(rng, rng.randint(4, 6))
+
+
+def _subcubes(n):
+    """Every subcube as (digits by axis, partial assignment); digit 2 is free."""
+    for digits in itertools.product((0, 1, 2), repeat=n):
+        mask = bits = 0
+        for axis, d in enumerate(digits):
+            v = n - 1 - axis
+            if d != 2:
+                mask |= 1 << v
+                bits |= d << v
+        yield digits, PartialAssignment(n, mask, bits)
+
+
+def test_subcube_table_matches_is_determined():
+    count = 0
+    for f in _subcube_battery():
+        table = f.subcube_table()
+        assert table.shape == (3,) * f.n and table.dtype == np.uint8
+        assert f.subcube_table() is table
+        for digits, part in _subcubes(f.n):
+            forced = f.is_determined(part)
+            assert table[digits] == (2 if forced is None else forced), (f, part)
+        count += 1
+    assert count == 270 + 40
+
+
+def test_minimal_witness_domains_match_a_brute_force_scan():
+    for f in _subcube_battery():
+        ok = {mask: any(f.is_determined(PartialAssignment(f.n, mask, bits)) is not None
+                        for bits in range(1 << f.n) if not bits & ~mask)
+              for mask in range(1 << f.n)}
+        expected = [mask for mask in sorted(ok, key=lambda m: (m.bit_count(), m))
+                    if ok[mask] and not any(ok[mask ^ 1 << v]
+                                            for v in range(f.n) if mask >> v & 1)]
+        assert list(minimal_witness_domains(f)) == expected, f
+
+
+def test_cheapest_proof_costs_match_the_per_assignment_search():
+    rng = random.Random(29)
+    functions = [f for f in _subcube_battery() if f.n >= 3][::6]
+    for f in functions:
+        huge = CostVector.of(Fraction(10 ** 30 + rng.randint(0, 9), rng.choice((7, 11, 97, 101)))
+                             for _ in range(f.n))
+        for costs in (random_cost_vector(f.n, rng), huge, unit_costs(f.n)):
+            got = cheapest_proof_costs(f, costs)
+            assert got == [cheapest_proof(f, PartialAssignment.full_from_index(f.n, i), costs)[1]
+                           for i in range(1 << f.n)], (f, costs)
+
+
+def test_subcube_table_refuses_past_the_proof_cap():
+    import tracemalloc
+
+    from pricedbool.harness import competitive_ratio_exhaustive, greedy_strategy
+    from pricedbool.lp import max_restriction_objective
+
+    n = PROOF_ENUM_CAP + 1
+    f = parity(n)
+    costs = unit_costs(n)
+    tracemalloc.start()
+    try:
+        # a larger caller cap does not lift the table's own guard
+        with pytest.raises(CapExceeded, match=f"n={n} exceeds cap {PROOF_ENUM_CAP}"):
+            competitive_ratio_exhaustive(greedy_strategy(costs), f, costs, cap=20)
+        for sweep in (lambda: cheapest_proof_costs(f, costs, cap=20),
+                      lambda: minimal_witness_domains(f, cap=20),
+                      lambda: max_restriction_objective(f, cap=20),
+                      f.subcube_table):
+            with pytest.raises(CapExceeded):
+                sweep()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 ** n // 8  # nothing near the 3**n-entry table was allocated
