@@ -13,13 +13,16 @@ Conventions used throughout the package:
 * A function on n variables is a numpy bool table of length 2**n indexed
   little-endian: bit i of the table index is the value of variable i.
 * All costs and derived quantities are `fractions.Fraction`; no floats
-  enter any comparison.  The only float permitted anywhere is the
-  ``math.inf`` sentinel for infinite ratios.
+  enter any comparison.  The sweeps scale the costs to ints by the LCM
+  of their denominators and build Fractions only for what they return.
+  The only float permitted anywhere is the ``math.inf`` sentinel for
+  infinite ratios.
 * Everything is immutable and safe to share.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -617,15 +620,21 @@ def literal_set_key(term: Iterable[Literal]) -> tuple:
 # cheapest proofs
 
 
-def _subset_costs(n: int, costs: CostVector) -> list[Fraction]:
-    total = [Fraction(0)] * (1 << n)
+def _scaled_costs(costs: CostVector) -> tuple[list[int], int]:
+    """The costs times the LCM of their denominators, as ints, and that LCM."""
+    scale = math.lcm(*(c.denominator for c in costs.values))
+    return [c.numerator * (scale // c.denominator) for c in costs.values], scale
+
+
+def _subset_costs(n: int, costs: list[int]) -> list[int]:
+    total = [0] * (1 << n)
     for mask in range(1, 1 << n):
         low = mask & -mask
-        total[mask] = total[mask ^ low] + costs.values[low.bit_length() - 1]
+        total[mask] = total[mask ^ low] + costs[low.bit_length() - 1]
     return total
 
 
-def _subset_order(total: list[Fraction]) -> list[int]:
+def _subset_order(total: list[int]) -> list[int]:
     """Variable masks by nondecreasing cost, then size, then mask."""
     return sorted(range(len(total)), key=lambda m: (total[m], m.bit_count(), m))
 
@@ -641,7 +650,8 @@ def cheapest_proof(f: BooleanFunction, assignment: PartialAssignment,
     _require_cap(f.n, cap, "cheapest-proof search")
     if not assignment.is_full:
         raise PricedBoolError("incomplete assignment: cheapest_proof needs every value")
-    total = _subset_costs(f.n, costs)
+    scaled, scale = _scaled_costs(costs)
+    total = _subset_costs(f.n, scaled)
     for mask in _subset_order(total):
         part = PartialAssignment(f.n, mask, assignment.bits & mask)
         if f.is_determined(part) is None:
@@ -652,14 +662,12 @@ def cheapest_proof(f: BooleanFunction, assignment: PartialAssignment,
             if f.is_determined(PartialAssignment(f.n, trimmed, assignment.bits & trimmed)) is not None:
                 keep = trimmed
         part = PartialAssignment(f.n, keep, assignment.bits & keep)
-        return Proof(frozenset(_mask_vars(keep)), part), total[keep]
+        return Proof(frozenset(_mask_vars(keep)), part), Fraction(total[keep], scale)
     raise PricedBoolError("unreachable: the full variable set always determines f")
 
 
-def cheapest_proof_costs(f: BooleanFunction, costs: CostVector,
-                         cap: int = SEARCH_CAP) -> list[Fraction]:
-    """Cheapest proof cost for every assignment index at once."""
-    _require_cap(f.n, cap, "cheapest-proof search")
+def _cheapest_proof_totals(f: BooleanFunction, costs: list[int]) -> list[int]:
+    """Cheapest proof cost for every assignment index, in integer costs."""
     n = f.n
     table = f.subcube_table().reshape(-1)
     total = _subset_costs(n, costs)
@@ -677,6 +685,14 @@ def cheapest_proof_costs(f: BooleanFunction, costs: CostVector,
         np.minimum(r[:, :2], r[:, 2:], out=r[:, :2])
     full = rank.reshape((3,) * n)[(slice(0, 2),) * n].reshape(-1)
     return [total[order[r]] for r in full.tolist()]
+
+
+def cheapest_proof_costs(f: BooleanFunction, costs: CostVector,
+                         cap: int = SEARCH_CAP) -> list[Fraction]:
+    """Cheapest proof cost for every assignment index at once."""
+    _require_cap(f.n, cap, "cheapest-proof search")
+    scaled, scale = _scaled_costs(costs)
+    return [Fraction(t, scale) for t in _cheapest_proof_totals(f, scaled)]
 
 
 # ---------------------------------------------------------------------------

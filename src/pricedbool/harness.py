@@ -6,6 +6,11 @@ they do.  A strategy only ever picks the next variable.  Ratios compare
 what a run paid against the cheapest proof for the same assignment, with
 the degenerate cases fixed as 0/0 = 1 and x/0 = infinity for x > 0.
 
+`run` plays one assignment.  The exhaustive sweep does not replay the
+strategy per assignment: since ``next_query`` sees only the history, the
+strategy is a decision tree, and the sweep walks that tree once, depth
+first, reading the stopping rule off f's subcube table at every node.
+
 ``math.inf`` is the lone non-rational value in the package; it never
 mixes with Fractions except through comparisons, which are exact.
 """
@@ -23,9 +28,10 @@ from .core import (
     ContractViolation,
     CostVector,
     PartialAssignment,
+    _cheapest_proof_totals,
     _require_cap,
+    _scaled_costs,
     cheapest_proof,
-    cheapest_proof_costs,
 )
 
 History = Sequence[tuple[int, int]]
@@ -107,10 +113,11 @@ def ratio_string(r) -> str:
     return "inf" if r == math.inf else str(r)
 
 
-def _check_query(f: BooleanFunction, seen: set, var) -> int:
-    if not isinstance(var, int) or isinstance(var, bool) or not 0 <= var < f.n:
+def _check_query(n: int, mask: int, var) -> int:
+    """Pass a strategy's answer through, or raise if it is no unread variable."""
+    if not isinstance(var, int) or isinstance(var, bool) or not 0 <= var < n:
         raise ContractViolation(f"contract violation: bad query {var!r}")
-    if var in seen:
+    if mask >> var & 1:
         raise ContractViolation(f"contract violation: variable x{var} queried twice")
     return var
 
@@ -124,14 +131,12 @@ def run(algorithm: EvaluationAlgorithm, f: BooleanFunction,
         raise ValueError("mismatched sizes between function, costs, and assignment")
     history: list[tuple[int, int]] = []
     reads: list[ReadRecord] = []
-    seen: set[int] = set()
     part = PartialAssignment(f.n)
     total = Fraction(0)
     value = f.is_determined(part)
     while value is None:
-        var = _check_query(f, seen, algorithm.next_query(tuple(history)))
+        var = _check_query(f.n, part.mask, algorithm.next_query(tuple(history)))
         val = assignment.value(var)
-        seen.add(var)
         history.append((var, val))
         reads.append(ReadRecord(var, val, costs[var]))
         total += costs[var]
@@ -156,23 +161,59 @@ def verify_transcript(f: BooleanFunction, transcript: EvaluationTranscript) -> b
 def competitive_ratio_exhaustive(algorithm: EvaluationAlgorithm, f: BooleanFunction,
                                  costs: CostVector, per_assignment: bool = False,
                                  cap: Optional[int] = None) -> RatioReport:
-    """The exact worst-case ratio of a strategy over every assignment."""
-    _require_cap(f.n, SEARCH_CAP if cap is None else cap, "exhaustive ratio sweep")
-    proof_cost = cheapest_proof_costs(f, costs, cap=f.n)
-    best = None
-    table = []
-    for index in range(1 << f.n):
-        assignment = PartialAssignment.full_from_index(f.n, index)
-        transcript = run(algorithm, f, assignment, costs)
-        r = ratio_of(transcript.total_cost, proof_cost[index])
-        entry = (r, assignment, transcript.total_cost, proof_cost[index])
-        if per_assignment:
-            table.append((assignment, r))
-        if best is None or r > best[0]:
-            best = entry
-    r, assignment, alg_cost, p_cost = best
-    return RatioReport(r, assignment, alg_cost, p_cost,
-                       per_assignment=tuple(table) if per_assignment else None)
+    """The exact worst-case ratio of a strategy over every assignment.
+
+    One depth-first walk of the strategy's decision tree: ``next_query``
+    is asked once per node, 0-branch first.  The walk carries the node's
+    index into ``f.subcube_table()``; binding x_v to b subtracts
+    (2-b)*3**v from it, so the stopping rule is one lookup.  A node where
+    f is constant is a leaf, and every assignment inside it paid the
+    leaf's read set.  Costs are scaled to ints, so the ratios compare by
+    cross-multiplying.  The worst assignment is the lowest index among
+    the ties, as if the assignments were run one by one in index order.
+    """
+    n = f.n
+    _require_cap(n, SEARCH_CAP if cap is None else cap, "exhaustive ratio sweep")
+    if costs.n != n:
+        raise ValueError("mismatched sizes between function and costs")
+    table = f.subcube_table().tobytes()
+    scaled, scale = _scaled_costs(costs)
+    proof = _cheapest_proof_totals(f, scaled)
+    full = (1 << n) - 1
+    paid = [0] * (1 << n)
+    # (history, mask, bits, node, spent) per node still to visit
+    stack = [((), 0, 0, 3 ** n - 1, 0)]
+    while stack:
+        history, mask, bits, node, spent = stack.pop()
+        if table[node] != 2:
+            # every assignment below the leaf: each subset of the unread variables set to 1
+            free = ones = full ^ mask
+            while True:
+                paid[bits | ones] = spent
+                if not ones:
+                    break
+                ones = (ones - 1) & free
+            continue
+        var = _check_query(n, mask, algorithm.next_query(history))
+        for b in (1, 0):  # the 0-branch is popped, and so walked, first
+            stack.append((history + ((var, b),), mask | 1 << var, bits | b << var,
+                          node - (2 - b) * 3 ** var, spent + scaled[var]))
+    # a/p beats b/q when a*q > b*p; x/0 for x > 0 is then infinite
+    # without special cases, and only 0/0 = 1 needs rewriting
+    worst, top, bottom = 0, 0, 1
+    for index, (a, p) in enumerate(zip(paid, proof)):
+        if a == p == 0:
+            a = p = 1
+        if a * bottom > top * p:
+            worst, top, bottom = index, a, p
+    rows = None
+    if per_assignment:
+        rows = tuple((PartialAssignment.full_from_index(n, index), ratio_of(a, p))
+                     for index, (a, p) in enumerate(zip(paid, proof)))
+    return RatioReport(ratio_of(paid[worst], proof[worst]),
+                       PartialAssignment.full_from_index(n, worst),
+                       Fraction(paid[worst], scale), Fraction(proof[worst], scale),
+                       per_assignment=rows)
 
 
 def adversarial_ratio(algorithm: EvaluationAlgorithm, f: BooleanFunction,
@@ -181,15 +222,13 @@ def adversarial_ratio(algorithm: EvaluationAlgorithm, f: BooleanFunction,
     if costs.n != f.n:
         raise ValueError("mismatched sizes between function and costs")
     history: list[tuple[int, int]] = []
-    seen: set[int] = set()
     part = PartialAssignment(f.n)
     total = Fraction(0)
     while f.is_determined(part) is None:
-        var = _check_query(f, seen, algorithm.next_query(tuple(history)))
+        var = _check_query(f.n, part.mask, algorithm.next_query(tuple(history)))
         val = adversary.answer(var, tuple(history))
         if val not in (0, 1):
             raise ContractViolation(f"contract violation: adversary answered {val!r}")
-        seen.add(var)
         history.append((var, val))
         total += costs[var]
         part = part.bind(var, val)

@@ -228,11 +228,13 @@ def max_restriction_objective(f: BooleanFunction, cap: int = SEARCH_CAP) -> Frac
 
     All partial assignments count, the empty one included; restrictions
     that collapse to a constant contribute 0.  Restrictions sharing a
-    table (or complementary tables) are solved once.
+    table (or complementary tables) are solved once, and each reads its
+    subcube table as a view of f's.
     """
     _require_cap(f.n, cap, "the restriction sweep")
     table = f.subcube_table()
     cut = (0, 1, slice(0, 2))  # a free digit keeps both values
+    whole = (0, 1, slice(None))  # in a subcube table, all three digits
     best = ZERO
     seen = set()
     for digits in np.argwhere(table == 2).tolist():
@@ -241,6 +243,8 @@ def max_restriction_objective(f: BooleanFunction, cap: int = SEARCH_CAP) -> Frac
         if key in seen:
             continue
         seen.add(key)
+        # sub's own subcube table is a read-only view of f's, never folded
+        sub._subcubes = table[tuple(whole[d] for d in digits)]
         value = lp_objective(sub)
         if value > best:
             best = value

@@ -1,5 +1,6 @@
 """The evaluation harness: transcripts, exhaustive ratios, adversary plumbing."""
 
+import gc
 import math
 import random
 from fractions import Fraction
@@ -7,9 +8,11 @@ from fractions import Fraction
 import pytest
 
 from pricedbool.core import (
+    BooleanFunction,
     ContractViolation,
     CostVector,
     PartialAssignment,
+    cheapest_proof_costs,
     majority,
     parity,
     parse_dnf,
@@ -28,6 +31,9 @@ from pricedbool.harness import (
     run,
     verify_transcript,
 )
+from pricedbool.lp import lp_guided_strategy
+from pricedbool.quadratic import make_pivot_pairs, pivot_two_phase
+from pricedbool.symmetric import SymmetricProfile
 
 MAJ3 = majority(3)
 
@@ -165,3 +171,160 @@ def test_adversarial_ratio_rejects_mismatched_costs():
     f = parse_dnf("x0 & x1").function()
     with pytest.raises(ValueError, match="mismatched sizes"):
         adversarial_ratio(greedy_strategy(unit_costs(3)), f, Zeros(), unit_costs(3))
+
+
+# ---------------------------------------------------------------------------
+# the decision-tree walk against one run per assignment
+
+
+def _loop_report(algorithm, f, costs):
+    """The exhaustive sweep done the slow way: `run` on every assignment."""
+    proof = cheapest_proof_costs(f, costs, cap=f.n)
+    worst, rows = None, []
+    for index in range(1 << f.n):
+        assignment = PartialAssignment.full_from_index(f.n, index)
+        paid = run(algorithm, f, assignment, costs).total_cost
+        r = ratio_of(paid, proof[index])
+        rows.append((assignment, r))
+        if worst is None or r > worst[0]:
+            worst = (r, assignment, paid, proof[index])
+    return worst, tuple(rows)
+
+
+def _cost_kinds(n, rng):
+    """Random, unit, zero-heavy and huge-numerator costs over n variables."""
+    return (random_cost_vector(n, rng),
+            unit_costs(n),
+            CostVector.of(rng.choice((0, 0, 0, 1, 3)) for _ in range(n)),
+            CostVector.of(Fraction(10 ** 30 + rng.randint(0, 9), rng.choice((7, 11, 97, 101)))
+                          for _ in range(n)))
+
+
+def _assert_walk_matches_loop(make_algorithm, f, costs):
+    rep = competitive_ratio_exhaustive(make_algorithm(costs), f, costs, per_assignment=True)
+    worst, rows = _loop_report(make_algorithm(costs), f, costs)
+    assert (rep.ratio, rep.worst_assignment, rep.algorithm_cost, rep.proof_cost) == worst, \
+        (f, costs)
+    assert type(rep.algorithm_cost) is Fraction and type(rep.proof_cost) is Fraction
+    assert rep.per_assignment == rows
+
+
+def test_walk_matches_the_loop_on_every_small_symmetric_profile():
+    rng = random.Random(71)
+    count = 0
+    for n in range(1, 7):
+        for code in range(1 << (n + 1)):
+            f = SymmetricProfile(tuple(code >> k & 1 for k in range(n + 1))).function()
+            for costs in _cost_kinds(n, rng):
+                _assert_walk_matches_loop(greedy_strategy, f, costs)
+            count += 1
+    assert count == 252
+
+
+def test_walk_matches_the_loop_on_random_tables():
+    rng = random.Random(72)
+    for trial in range(200):
+        n = rng.randint(1, 6)
+        f = random_function(rng, n, nonconstant=trial % 10 != 0)
+        costs = _cost_kinds(n, rng)[trial % 4]
+        _assert_walk_matches_loop(greedy_strategy, f, costs)
+
+
+def test_walk_matches_the_loop_for_the_two_phase_reader():
+    rng = random.Random(73)
+    for s in (1, 2, 3):
+        pairs = make_pivot_pairs(s)
+        for costs in _cost_kinds(pairs.n, rng):
+            _assert_walk_matches_loop(lambda c: pivot_two_phase(pairs, c), pairs.function(), costs)
+
+
+def test_walk_matches_the_loop_for_the_guided_reader():
+    rng = random.Random(74)
+    for n in range(1, 6):
+        for costs in _cost_kinds(n, rng):
+            f = random_function(rng, n)
+            _assert_walk_matches_loop(lambda c: lp_guided_strategy(f, c), f, costs)
+
+
+def test_walk_on_a_function_without_variables():
+    for value in (0, 1):
+        rep = competitive_ratio_exhaustive(greedy_strategy(unit_costs(0)),
+                                           BooleanFunction([value]), unit_costs(0),
+                                           per_assignment=True)
+        assert rep.ratio == 1 and rep.algorithm_cost == rep.proof_cost == 0
+        assert rep.worst_assignment.bit_string() == ""
+        assert len(rep.per_assignment) == 1
+
+
+class _Counting:
+    """Wraps a strategy and counts its `next_query` calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def next_query(self, history):
+        self.calls += 1
+        return self.inner.next_query(history)
+
+
+def test_walk_asks_once_per_decision_tree_node():
+    for n in range(1, 9):
+        strategy = _Counting(greedy_strategy(unit_costs(n)))
+        competitive_ratio_exhaustive(strategy, parity(n), unit_costs(n))
+        assert strategy.calls == (1 << n) - 1
+    rng = random.Random(75)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        f = random_function(rng, n)
+        costs = random_cost_vector(n, rng)
+        strategy = _Counting(greedy_strategy(costs))
+        competitive_ratio_exhaustive(strategy, f, costs)
+        assert 1 <= strategy.calls <= int((f.subcube_table() == 2).sum())
+
+
+class _Fixed:
+    """Returns one answer whatever the history."""
+
+    def __init__(self, var):
+        self.var = var
+
+    def next_query(self, history):
+        return self.var
+
+
+@pytest.mark.parametrize("var", [3, -1, "x0", True, 1.0, None])
+def test_walk_rejects_a_bad_query(var):
+    with pytest.raises(ContractViolation, match=r"contract violation: bad query"):
+        competitive_ratio_exhaustive(_Fixed(var), parity(3), unit_costs(3))
+
+
+def test_walk_rejects_a_double_query():
+    with pytest.raises(ContractViolation, match="contract violation: variable x0 queried twice"):
+        competitive_ratio_exhaustive(replay_strategy([0, 0]), parity(2), unit_costs(2))
+
+
+def test_walk_rejects_an_exhausted_replay():
+    with pytest.raises(ContractViolation, match="replayed transcript ran out of reads"):
+        competitive_ratio_exhaustive(replay_strategy([0]), parity(3), unit_costs(3))
+
+
+@pytest.mark.parametrize("size", [2, 4])
+def test_walk_rejects_mismatched_costs_before_the_first_query(size):
+    strategy = _Counting(greedy_strategy(unit_costs(3)))
+    with pytest.raises(ValueError, match="mismatched sizes"):
+        competitive_ratio_exhaustive(strategy, parity(3), unit_costs(size))
+    assert strategy.calls == 0
+
+
+def test_walk_leaves_no_cyclic_garbage():
+    # what a sweep allocates is freed when it returns, not at some later
+    # cyclic collection, so back-to-back sweeps do not pile up memory
+    gc.collect()
+    gc.disable()
+    try:
+        competitive_ratio_exhaustive(greedy_strategy(unit_costs(5)), majority(5),
+                                     unit_costs(5), per_assignment=True)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

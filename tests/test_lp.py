@@ -360,3 +360,29 @@ def test_lemma2_sweeps_each_branch_once(monkeypatch, capsys, token, passes):
     assert cli.main(["lp", "lemma2", "--f", token]) == 0
     assert "certified setting" in capsys.readouterr().out
     assert len(calls) == passes  # one certificate sweep per switch setting
+
+
+def test_restriction_sweep_folds_one_subcube_table(monkeypatch):
+    from pricedbool import core, lp
+
+    fold = core._build_subcubes
+    folds = []
+    monkeypatch.setattr(core, "_build_subcubes", lambda g: folds.append(g) or fold(g))
+    objective = lp.lp_objective
+
+    def checked(sub):
+        table = sub.subcube_table()
+        assert not table.flags.writeable
+        assert (table == fold(BooleanFunction(sub.table))).all()
+        return objective(sub)
+
+    monkeypatch.setattr(lp, "lp_objective", checked)
+    # an empty cache, so every distinct restriction builds its program
+    monkeypatch.setattr(lp, "_OBJECTIVE_CACHE", {})
+    rng = random.Random(43)
+    functions = [make_switch_family(1, 2).function(), switch_example()[0].function(),
+                 majority(5)] + [random_function(rng, n) for n in (3, 4, 5, 6)]
+    for f in functions:
+        folds.clear()
+        max_restriction_objective(f)
+        assert folds == [f]  # f's own table, and no restriction's
