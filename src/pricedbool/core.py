@@ -639,31 +639,43 @@ def _subset_order(total: list[int]) -> list[int]:
     return sorted(range(len(total)), key=lambda m: (total[m], m.bit_count(), m))
 
 
+def _forced_subsets(f: BooleanFunction, bits: int) -> np.ndarray:
+    """f's value on the subcube binding each mask to ``bits``, else 2.
+
+    Entry m is the subcube table's entry with the variables in m bound to
+    their values in the full assignment ``bits`` and the rest free.  It is
+    folded from f's table in 2^n entries, so any n up to the table cap
+    works: each fold turns bit v of the index from x_v into "v bound".
+    """
+    t = f.table.astype(np.uint8)
+    for v in range(f.n):
+        t = t.reshape(-1, 2, 1 << v)
+        lo, hi = t[:, 0], t[:, 1]
+        t = np.stack([np.where(lo == hi, lo, 2), hi if bits >> v & 1 else lo], axis=1)
+    return t.reshape(-1)
+
+
 def cheapest_proof(f: BooleanFunction, assignment: PartialAssignment,
                    costs: CostVector, cap: int = SEARCH_CAP) -> tuple[Proof, Fraction]:
     """The cheapest proof consistent with a full assignment.
 
-    Scans variable subsets in nondecreasing cost order and minimalizes the
-    first hit by dropping removable variables in ascending index order
-    (only zero-cost variables can ever be removable).
+    Takes the cheapest variable subset that forces f under the assignment
+    (ties to fewer variables, then the lower mask) and minimalizes it by
+    dropping removable variables in ascending index order (only zero-cost
+    variables can ever be removable).
     """
     _require_cap(f.n, cap, "cheapest-proof search")
     if not assignment.is_full:
         raise PricedBoolError("incomplete assignment: cheapest_proof needs every value")
     scaled, scale = _scaled_costs(costs)
     total = _subset_costs(f.n, scaled)
-    for mask in _subset_order(total):
-        part = PartialAssignment(f.n, mask, assignment.bits & mask)
-        if f.is_determined(part) is None:
-            continue
-        keep = mask
-        for v in _mask_vars(mask):
-            trimmed = keep ^ (1 << v)
-            if f.is_determined(PartialAssignment(f.n, trimmed, assignment.bits & trimmed)) is not None:
-                keep = trimmed
-        part = PartialAssignment(f.n, keep, assignment.bits & keep)
-        return Proof(frozenset(_mask_vars(keep)), part), Fraction(total[keep], scale)
-    raise PricedBoolError("unreachable: the full variable set always determines f")
+    forced = _forced_subsets(f, assignment.bits)
+    keep = min(np.flatnonzero(forced != 2).tolist(), key=lambda m: (total[m], m.bit_count(), m))
+    for v in _mask_vars(keep):
+        if forced[keep ^ 1 << v] != 2:
+            keep ^= 1 << v
+    part = PartialAssignment(f.n, keep, assignment.bits & keep)
+    return Proof(frozenset(_mask_vars(keep)), part), Fraction(total[keep], scale)
 
 
 def _cheapest_proof_totals(f: BooleanFunction, costs: list[int]) -> list[int]:

@@ -34,7 +34,7 @@ from .core import (
     minimal_witness_domains,
 )
 from .harness import History
-from .simplex import simplex_max, simplex_min
+from .simplex import simplex_max
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -108,65 +108,44 @@ def _optimal_value(n: int, rows) -> tuple[Fraction, list[Fraction]]:
     return res.value, res.duals
 
 
-def _face_program(rows, objective, pins: dict, free: list) -> list:
-    """Constraint triples carving the optimal face out over the free coordinates."""
+def _floor_round(free: list, live: list, budget: Fraction,
+                 level: Fraction) -> tuple[Fraction, list]:
+    """The highest common floor under the free coordinates, and some of
+    the coordinates every point reaching it holds at the floor.
+
+    The floor program, min s over the live rows (sum >= rhs), sum x <= budget
+    and x_v + s >= level, goes in as its packing dual: max rhs.w + level*sum mu
+    - budget*u subject to sum_{r ni v} w_r + mu_v - u <= 0 per free v and
+    sum mu <= 1.  Its right-hand side is nonnegative, so simplex_max starts
+    from the slack basis.  The floor is level minus the optimum, and by
+    complementary slackness mu_v > 0 pins x_v to the floor.
+    """
+    k, m = len(free), len(live)
     pos = {v: j for j, v in enumerate(free)}
-    k = len(free)
-    cons = []
-    for row in rows:
-        rhs = 1 - sum(pins[v] for v in row if v in pins)
-        if rhs <= 0:
-            continue
-        coeffs = [0] * k
-        hit = False
-        for v in row:
-            if v in pos:
-                coeffs[pos[v]] = 1
-                hit = True
-        if not hit:
-            raise PricedBoolError("covering program refinement lost feasibility")
-        cons.append((coeffs, ">=", rhs))
-    cons.append(([1] * k, "==", objective - sum(pins.values())))
-    return cons
-
-
-def _face_floor(rows, objective, pins: dict, free: list) -> tuple[Fraction, list]:
-    """Highest common floor under the free coordinates, with a witness point."""
-    k = len(free)
-    cons = [(coeffs + [0], rel, rhs)
-            for coeffs, rel, rhs in _face_program(rows, objective, pins, free)]
+    # columns: w per live row, mu per free coordinate, then u
+    a = [[0] * (m + k + 1) for _ in range(k + 1)]
+    for i, (hit, _) in enumerate(live):
+        for v in hit:
+            a[pos[v]][i] = 1
     for j in range(k):
-        gap = [0] * (k + 1)
-        gap[j] = 1
-        gap[k] = -1
-        cons.append((gap, ">=", 0))
-    res = simplex_min([0] * k + [-1], cons)
-    return -res.value, res.solution[:k]
-
-
-def _face_ceiling(rows, objective, pins: dict, free: list, v: int,
-                  floor: Fraction) -> Fraction:
-    """Largest value coordinate v can take with every free coordinate >= floor."""
-    k = len(free)
-    cons = _face_program(rows, objective, pins, free)
-    for j in range(k):
-        lift = [0] * k
-        lift[j] = 1
-        cons.append((lift, ">=", floor))
-    c = [0] * k
-    c[free.index(v)] = -1
-    return -simplex_min(c, cons).value
+        a[j][m + j] = 1
+        a[j][m + k] = -1
+        a[k][m + j] = 1
+    res = simplex_max(a, [0] * k + [1], [rhs for _, rhs in live] + [level] * k + [-budget])
+    return level - res.value, [v for j, v in enumerate(free) if res.solution[m + j] > 0]
 
 
 def solve_lp(lp: ProofLp) -> LpSolution:
     """The most even optimal weight vector of the program.
 
     Among the optimal solutions, the returned point maximizes the
-    smallest weight, then the next smallest, and so on.  It is found by
-    raising a common floor under the not yet pinned coordinates as far
-    as the rows and the optimal budget allow, pinning the coordinates
-    that cannot rise above the floor, and repeating.  A single full row
-    thus yields the uniform vector rather than a corner of the face.
+    smallest weight, then the next smallest, and so on.  Each round
+    spreads the rest of the optimal budget over the not yet pinned
+    coordinates: if the even split covers every row it is the answer,
+    and otherwise one packing program finds the highest common floor
+    and pins coordinates that no point reaching it can lift.  A single
+    full row thus yields the uniform vector rather than a corner of the
+    face.
     """
     n = lp.n
     rows = lp.rows
@@ -176,10 +155,17 @@ def solve_lp(lp: ProofLp) -> LpSolution:
     pins: dict[int, Fraction] = {}
     free = list(range(n))
     while free:
-        floor, witness = _face_floor(rows, objective, pins, free)
-        blocked = [v for j, v in enumerate(free)
-                   if witness[j] == floor
-                   and _face_ceiling(rows, objective, pins, free, v, floor) == floor]
+        budget = objective - sum(pins.values())
+        level = budget / len(free)
+        live = []
+        for row in rows:
+            rhs = 1 - sum(pins[v] for v in row if v in pins)
+            if rhs > 0:
+                live.append(([v for v in row if v not in pins], rhs))
+        if all(level * len(hit) >= rhs for hit, rhs in live):
+            blocked, floor = free, level
+        else:
+            floor, blocked = _floor_round(free, live, budget, level)
         if not blocked:
             raise PricedBoolError("covering program refinement failed to pin")
         for v in blocked:
@@ -190,8 +176,18 @@ def solve_lp(lp: ProofLp) -> LpSolution:
     return LpSolution(tuple(values), objective, len(rows), "optimal")
 
 
+# Both caches live as long as the process.  Each keeps at most CACHE_CAP
+# entries and drops its oldest first; a 5-variable `lp lpa` request adds
+# about six, so thousands of small requests in one process stay cached.
+CACHE_CAP = 1 << 15
 _OBJECTIVE_CACHE: dict = {}
 _SOLUTION_CACHE: dict = {}
+
+
+def _remember(cache: dict, key, value) -> None:
+    if key not in cache and len(cache) >= CACHE_CAP:
+        del cache[next(iter(cache))]
+    cache[key] = value
 
 
 def _canonical_key(f: BooleanFunction) -> tuple[int, bytes]:
@@ -207,8 +203,8 @@ def lp_solution(f: BooleanFunction) -> LpSolution:
     hit = _SOLUTION_CACHE.get(key)
     if hit is None:
         hit = solve_lp(build_lp(f))
-        _SOLUTION_CACHE[key] = hit
-        _OBJECTIVE_CACHE[key] = hit.objective
+        _remember(_SOLUTION_CACHE, key, hit)
+        _remember(_OBJECTIVE_CACHE, key, hit.objective)
     return hit
 
 
@@ -219,8 +215,24 @@ def lp_objective(f: BooleanFunction) -> Fraction:
     if hit is None:
         lp = build_lp(f)
         hit = _optimal_value(f.n, lp.rows)[0] if lp.rows else ZERO
-        _OBJECTIVE_CACHE[key] = hit
+        _remember(_OBJECTIVE_CACHE, key, hit)
     return hit
+
+
+_CUT = (0, 1, slice(0, 2))  # in a truth table, a free digit keeps both values
+_WHOLE = (0, 1, slice(None))  # in a subcube table, all three digits
+
+
+def _subfunction(table: np.ndarray, digits) -> BooleanFunction:
+    """The restriction of f to one subcube of f's subcube table ``table``.
+
+    ``digits`` holds one digit per axis (axis k is variable n-1-k): 0 or 1
+    binds, 2 leaves free.  The restriction's own subcube table is a
+    read-only view of f's, so it is never folded.
+    """
+    sub = BooleanFunction(table[tuple(_CUT[d] for d in digits)])
+    sub._subcubes = table[tuple(_WHOLE[d] for d in digits)]
+    return sub
 
 
 def max_restriction_objective(f: BooleanFunction, cap: int = SEARCH_CAP) -> Fraction:
@@ -233,18 +245,14 @@ def max_restriction_objective(f: BooleanFunction, cap: int = SEARCH_CAP) -> Frac
     """
     _require_cap(f.n, cap, "the restriction sweep")
     table = f.subcube_table()
-    cut = (0, 1, slice(0, 2))  # a free digit keeps both values
-    whole = (0, 1, slice(None))  # in a subcube table, all three digits
     best = ZERO
     seen = set()
     for digits in np.argwhere(table == 2).tolist():
-        sub = BooleanFunction(table[tuple(cut[d] for d in digits)])
+        sub = _subfunction(table, digits)
         key = _canonical_key(sub)
         if key in seen:
             continue
         seen.add(key)
-        # sub's own subcube table is a read-only view of f's, never folded
-        sub._subcubes = table[tuple(whole[d] for d in digits)]
         value = lp_objective(sub)
         if value > best:
             best = value
@@ -310,10 +318,16 @@ class LpGuidedStrategy:
 
     def _charge(self, key: tuple, residuals: list) -> tuple:
         mask, bits = key
+        f = self.f
+        kept = tuple(v for v in range(f.n) if not mask >> v & 1)
         if mask == 0:
-            g, kept = self.f, tuple(range(self.f.n))
+            g = f
+        elif f.n > PROOF_ENUM_CAP:
+            # f has no subcube table; the restriction folds its own if solved
+            g = f.restrict(PartialAssignment(f.n, mask, bits)).function
         else:
-            g, kept = self.f.restrict(PartialAssignment(self.f.n, mask, bits))
+            g = _subfunction(f.subcube_table(), [bits >> v & 1 if mask >> v & 1 else 2
+                                                 for v in reversed(range(f.n))])
         if not kept or g.is_constant() is not None:
             raise ContractViolation("contract violation: no variable left to read")
         for v in kept:

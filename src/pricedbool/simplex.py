@@ -1,12 +1,11 @@
 """Exact rational simplex for small linear programs.
 
-Two entry points.  simplex_max solves max c.y over {A y <= b, y >= 0}
-with b >= 0, so the slack basis is feasible from the start; it also
-reports the dual prices, which is how the covering programs are solved
-through their packing duals.  simplex_min is a two-phase tableau solver
-for arbitrary mixes of <=, >= and == rows, used for the refinement
-programs that carve out canonical points of an optimal face.  Bland's
-rule keeps every run finite and deterministic.
+One entry point.  simplex_max solves max c.y over {A y <= b, y >= 0}
+with b >= 0, so the slack basis is feasible from the start and no
+phase one is needed; it also reports the dual prices.  Every program
+the package solves, the covering optimum and each round of its most
+even refinement, is posed in this packing form.  Bland's rule keeps
+every run finite and deterministic.
 
 The tableau is fraction-free.  Each row is scaled once to integers, and
 its entry in its basic column, always positive, is the denominator the
@@ -100,11 +99,11 @@ def simplex_max(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction],
         row = [_rational(x) for x in a[i]] + [0] * m + [b[i]]
         row[n + i] = 1
         rows.append(_reduced(_scaled(row)))
-    # the shared loop minimizes, so it runs on the negated objective row;
+    # the pivot loop minimizes, so it runs on the negated objective row;
     # after the slacks and the rhs comes the objective's denominator
     obj = _scaled([-_rational(x) for x in c] + [0] * (m + 1) + [1])
     basis = [n + i for i in range(m)]
-    _optimize(rows, obj, basis, n + m)
+    _optimize(rows, obj, basis)
 
     den = obj[-1]
     return SimplexResult(Fraction(obj[-2], den), _solution(rows, basis, n),
@@ -117,10 +116,6 @@ def _pivot(rows, obj, basis, leave: int, enter: int) -> None:
     # scales nothing, so those rows skip the gcd reduction
     prow = rows[leave]
     p = prow[enter]
-    if p < 0:
-        # only the drive-out of phase one pivots on a negative entry
-        prow = rows[leave] = [-x for x in prow]
-        p = -p
     for i, row in enumerate(rows):
         coef = row[enter]
         if coef and i != leave:
@@ -133,11 +128,12 @@ def _pivot(rows, obj, basis, leave: int, enter: int) -> None:
     basis[leave] = enter
 
 
-def _optimize(rows, obj, basis, limit: int) -> None:
-    # entering column: first negative reduced cost below the limit (Bland)
+def _optimize(rows, obj, basis) -> None:
+    # entering column: first negative reduced cost (Bland); the objective
+    # row ends with the rhs and the denominator
     while True:
         enter = -1
-        for j in range(limit):
+        for j in range(len(obj) - 2):
             if obj[j] < 0:
                 enter = j
                 break
@@ -158,83 +154,3 @@ def _optimize(rows, obj, basis, limit: int) -> None:
         if leave < 0:
             raise ValueError("unbounded linear program")
         _pivot(rows, obj, basis, leave, enter)
-
-
-def simplex_min(c: Sequence[Fraction], constraints: Sequence[tuple]) -> SimplexResult:
-    """Minimize c.x over the constraints and x >= 0, exactly.
-
-    Constraints are (coefficients, relation, rhs) triples with relation
-    one of "<=", ">=" or "==".  Raises ValueError on an unknown relation
-    and on an infeasible or unbounded program.  The duals slot of the
-    result is left empty.
-    """
-    n = len(c)
-    norm = []
-    for coeffs, rel, rhs in constraints:
-        if rel not in ("<=", ">=", "=="):
-            raise ValueError(f"unknown constraint relation {rel!r}; use <=, >= or ==")
-        row = [_rational(x) for x in coeffs]
-        if len(row) != n:
-            raise ValueError("constraint width does not match the objective")
-        rhs = _rational(rhs)
-        if rhs < 0:
-            row = [-x for x in row]
-            rhs = -rhs
-            rel = {"<=": ">=", ">=": "<=", "==": "=="}[rel]
-        norm.append((row, rel, rhs))
-
-    extras = [i for i, (_, rel, _) in enumerate(norm) if rel != "=="]
-    art_base = n + len(extras)
-    width = art_base + 1
-    extra_of = {row: n + k for k, row in enumerate(extras)}
-    # Artificial columns are never stored: they never enter, and a row
-    # whose basic variable is artificial never needs its denominator.
-    # They keep their ids, art_base and up, for Bland's tie-break.
-    rows = []
-    basis = []
-    arts = []  # (row, its artificial entry) for pricing out phase one
-    for i, (coeffs, rel, rhs) in enumerate(norm):
-        row = coeffs + [0] * len(extras) + [rhs]
-        if rel == "<=":
-            row[extra_of[i]] = 1
-            basis.append(extra_of[i])
-            rows.append(_reduced(_scaled(row)))
-            continue
-        if rel == ">=":
-            row[extra_of[i]] = -1
-        basis.append(art_base + len(arts))
-        row = _reduced(_scaled(row + [1]))
-        arts.append((row, row.pop()))
-        rows.append(row)
-
-    # phase one: drive the artificial variables to zero; the objective is
-    # minus the sum of the artificial rows over a common denominator
-    den = _common_multiple(entry for _, entry in arts)
-    obj = [0] * width + [den]
-    for row, entry in arts:
-        scale = den // entry
-        obj[:width] = [x - scale * y for x, y in zip(obj, row)]
-    obj = _reduced(obj)
-    _optimize(rows, obj, basis, art_base)
-    if obj[-2] != 0:
-        raise ValueError("infeasible linear program")
-    keep = []
-    for i in range(len(rows)):
-        if basis[i] >= art_base:
-            enter = next((j for j in range(art_base) if rows[i][j] != 0), None)
-            if enter is None:
-                continue  # redundant row
-            _pivot(rows, obj, basis, i, enter)
-        keep.append(i)
-    rows = [rows[i] for i in keep]
-    basis = [basis[i] for i in keep]
-
-    # phase two: the real objective (slacks, rhs, denominator after c),
-    # artificial variables barred by the limit
-    obj = _scaled([_rational(x) for x in c] + [0] * len(extras) + [0, 1])
-    for row, var in zip(rows, basis):
-        if obj[var]:
-            obj = _priced_out(obj, row, var)
-    _optimize(rows, obj, basis, art_base)
-
-    return SimplexResult(-Fraction(obj[-2], obj[-1]), _solution(rows, basis, n), [])

@@ -18,6 +18,7 @@ from pricedbool.core import (
     ParseError,
     PartialAssignment,
     PricedBoolError,
+    Proof,
     certificates,
     cheapest_proof,
     cheapest_proof_costs,
@@ -339,6 +340,54 @@ def test_cheapest_proof_costs_match_the_per_assignment_search():
             got = cheapest_proof_costs(f, costs)
             assert got == [cheapest_proof(f, PartialAssignment.full_from_index(f.n, i), costs)[1]
                            for i in range(1 << f.n)], (f, costs)
+
+
+def _scan_cheapest_proof(f, assignment, costs):
+    """The subset scan cheapest_proof replaced: subsets in nondecreasing
+    cost, then size, then mask, each tested with is_determined; the first
+    hit is trimmed in ascending index order."""
+    total = {mask: costs.cost(v for v in range(f.n) if mask >> v & 1)
+             for mask in range(1 << f.n)}
+    for mask in sorted(total, key=lambda m: (total[m], m.bit_count(), m)):
+        if f.is_determined(PartialAssignment(f.n, mask, assignment.bits & mask)) is None:
+            continue
+        keep = mask
+        for v in range(f.n):
+            trimmed = keep ^ 1 << v
+            if mask >> v & 1 and f.is_determined(
+                    PartialAssignment(f.n, trimmed, assignment.bits & trimmed)) is not None:
+                keep = trimmed
+        return Proof(frozenset(v for v in range(f.n) if keep >> v & 1),
+                     PartialAssignment(f.n, keep, assignment.bits & keep)), total[keep]
+
+
+def test_cheapest_proof_matches_the_subset_scan():
+    from pricedbool.symmetric import SymmetricProfile
+
+    rng = random.Random(30)
+    functions = [SymmetricProfile.from_string(format(code, f"0{n + 1}b")).function()
+                 for n in range(1, 7) for code in range(1, (1 << n + 1) - 1)]
+    functions += [random_function(rng, rng.randint(1, 6)) for _ in range(40)]
+    for f in functions:
+        # zero costs make the trimming step matter
+        zeros = CostVector.of(rng.choice((0, 0, 1, 2)) for _ in range(f.n))
+        for costs in (random_cost_vector(f.n, rng), zeros, unit_costs(f.n)):
+            for index in rng.sample(range(1 << f.n), min(4, 1 << f.n)):
+                full = PartialAssignment.full_from_index(f.n, index)
+                assert cheapest_proof(f, full, costs) == _scan_cheapest_proof(f, full, costs), \
+                    (f, costs, index)
+    assert len(functions) == 240 + 40
+
+
+def test_cheapest_proof_needs_no_subcube_table():
+    # an adversary's final assignment may come from a function past the
+    # proof-enumeration cap; the proof search reads 2**n entries, not 3**n
+    n = PROOF_ENUM_CAP + 2
+    f = majority(n)
+    full = PartialAssignment.full_from_index(n, (1 << n) - 1)
+    proof, cost = cheapest_proof(f, full, unit_costs(n), cap=n)
+    assert proof.variables == frozenset(range(n // 2 + 1)) and cost == n // 2 + 1
+    assert f._subcubes is None
 
 
 def test_subcube_table_refuses_past_the_proof_cap():

@@ -386,3 +386,95 @@ def test_restriction_sweep_folds_one_subcube_table(monkeypatch):
         folds.clear()
         max_restriction_objective(f)
         assert folds == [f]  # f's own table, and no restriction's
+
+
+def test_guided_reader_folds_one_subcube_table(monkeypatch, capsys, tmp_path):
+    from pricedbool import cli, core, lp
+
+    fold = core._build_subcubes
+    folds = []
+    monkeypatch.setattr(core, "_build_subcubes", lambda g: folds.append(g.n) or fold(g))
+    solve = lp.lp_solution
+
+    def checked(g):
+        table = g.subcube_table()
+        assert not table.flags.writeable
+        assert (table == fold(BooleanFunction(g.table))).all()
+        return solve(g)
+
+    monkeypatch.setattr(lp, "lp_solution", checked)
+    monkeypatch.setattr(lp, "_SOLUTION_CACHE", {})
+    monkeypatch.setattr(lp, "_OBJECTIVE_CACHE", {})
+    path = tmp_path / "f.txt"
+    path.write_text("6\n4df5a6c3008b0b0b\n")
+    assert cli.main(["lp", "lpa", "--f", str(path), "--cost", "random:3"]) == 0
+    # 22 folds, one per restriction the reader solved, before restrictions
+    # became views of f's table; the output bytes are those of that version
+    assert folds == [6]
+    assert capsys.readouterr().out == (
+        "ratio: 585/313\ndelta: 4\nworst assignment: 001010\n"
+        "check guided reader within the restriction sweep: pass (585/313 <= 4)\n")
+
+
+def test_guided_reader_past_the_proof_cap_reads_free_variables(monkeypatch):
+    from pricedbool import core, lp
+
+    # f is too wide for a subcube table, but after its two free reads the
+    # restriction is not, so the reader goes on as before
+    n = core.PROOF_ENUM_CAP + 1
+    monkeypatch.setattr(lp, "_SOLUTION_CACHE", {})
+    alg = lp_guided_strategy(parity(n), CostVector.of([0, 0] + [1] * (n - 2)))
+    history = []
+    for expected in (0, 1, 2):
+        assert alg.next_query(tuple(history)) == expected
+        history.append((expected, 1))
+
+
+def test_refinement_solves_few_programs(monkeypatch):
+    from pricedbool import lp, simplex
+
+    calls, runs = [], []
+    real, optimize = lp.simplex_max, simplex._optimize
+    monkeypatch.setattr(lp, "simplex_max", lambda *args: calls.append(1) or real(*args))
+    # every tableau the package runs, whatever entry point started it
+    monkeypatch.setattr(simplex, "_optimize", lambda *args: runs.append(1) or optimize(*args))
+    monkeypatch.setattr(lp, "_SOLUTION_CACHE", {})
+    monkeypatch.setattr(lp, "_OBJECTIVE_CACHE", {})
+    # a variable-transitive function spreads evenly: the optimum and no
+    # round; the most even point is unique, so it is the uniform one
+    assert lp_solution(majority(9)).values == (F(1, 5),) * 9
+    assert len(calls) == len(runs) == 1
+    for n in (7, 8):
+        assert lp_solution(majority(n)).values == (F(1, (n + 1) // 2),) * n
+    # every round pins at least one variable
+    for f in _gate_functions():
+        calls.clear()
+        runs.clear()
+        solve_lp(build_lp(f))
+        assert len(calls) == len(runs) <= 1 + f.n
+
+
+# --- cache bounds -------------------------------------------------------------
+
+
+def test_caches_stay_within_their_cap(monkeypatch):
+    from pricedbool import lp
+
+    monkeypatch.setattr(lp, "CACHE_CAP", 8)
+    monkeypatch.setattr(lp, "_SOLUTION_CACHE", {})
+    monkeypatch.setattr(lp, "_OBJECTIVE_CACHE", {})
+    rng = random.Random(44)
+    functions = {}
+    while len(functions) < 30:
+        f = random_function(rng, rng.randint(2, 4))
+        functions.setdefault(lp._canonical_key(f), f)
+    for f in functions.values():
+        want = solve_lp(build_lp(f))
+        assert lp_solution(f) == want
+        max_restriction_objective(f)  # a burst of objectives, no solutions
+        assert len(lp._SOLUTION_CACHE) <= 8 and len(lp._OBJECTIVE_CACHE) <= 8
+    # the solution cache keeps the newest keys, in insertion order
+    assert list(lp._SOLUTION_CACHE) == list(functions)[-8:]
+    # an evicted entry is solved again, to the same answer
+    first = next(iter(functions.values()))
+    assert lp_solution(first) == solve_lp(build_lp(first))
