@@ -52,6 +52,7 @@ from .harness import (
     Adversary,
     EvaluationAlgorithm,
     EvaluationTranscript,
+    FlipLastAdversary,
     GreedyStrategy,
     History,
     RatioReport,
@@ -73,7 +74,6 @@ from .lp import (
     LpGuidedStrategy,
     LpSolution,
     ProofLp,
-    SwitchAdversary,
     SwitchAnalysis,
     build_lp,
     lp_guided_strategy,
@@ -85,7 +85,6 @@ from .lp import (
     switch_example,
 )
 from .quadratic import (
-    MaxtermAdversary,
     PivotPairs,
     PivotTwoPhase,
     QuadraticAnalysis,

@@ -583,6 +583,10 @@ def main(argv=None) -> int:
     except (PricedBoolError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:
+        # a fault in the program, not the input; exit 1 is kept for a failed check
+        print(f"error: internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -656,7 +656,7 @@ def _forced_subsets(f: BooleanFunction, bits: int) -> np.ndarray:
 
 
 def cheapest_proof(f: BooleanFunction, assignment: PartialAssignment,
-                   costs: CostVector, cap: int = SEARCH_CAP) -> tuple[Proof, Fraction]:
+                   costs: CostVector) -> tuple[Proof, Fraction]:
     """The cheapest proof consistent with a full assignment.
 
     Takes the cheapest variable subset that forces f under the assignment
@@ -664,7 +664,6 @@ def cheapest_proof(f: BooleanFunction, assignment: PartialAssignment,
     dropping removable variables in ascending index order (only zero-cost
     variables can ever be removable).
     """
-    _require_cap(f.n, cap, "cheapest-proof search")
     if not assignment.is_full:
         raise PricedBoolError("incomplete assignment: cheapest_proof needs every value")
     scaled, scale = _scaled_costs(costs)

@@ -6,7 +6,8 @@ they do.  A strategy only ever picks the next variable.  Ratios compare
 what a run paid against the cheapest proof for the same assignment, with
 the degenerate cases fixed as 0/0 = 1 and x/0 = infinity for x > 0.
 
-`run` plays one assignment.  The exhaustive sweep does not replay the
+`run` plays one assignment and `adversarial_ratio` one adversary, both
+through the same read loop.  The exhaustive sweep does not replay the
 strategy per assignment: since ``next_query`` sees only the history, the
 strategy is a decision tree, and the sweep walks that tree once, depth
 first, reading the stopping rule off f's subcube table at every node.
@@ -122,6 +123,24 @@ def _check_query(n: int, mask: int, var) -> int:
     return var
 
 
+def _play(algorithm: EvaluationAlgorithm, f: BooleanFunction,
+          answer: Callable[[int, History], int]) -> tuple[History, int]:
+    """Read until f is forced: the strategy names each variable, ``answer``
+    gives its value.  Returns the history, as a tuple, and the forced value."""
+    history = ()
+    part = PartialAssignment(f.n)
+    value = f.is_determined(part)
+    while value is None:
+        var = _check_query(f.n, part.mask, algorithm.next_query(history))
+        val = answer(var, history)
+        if val not in (0, 1):
+            raise ContractViolation(f"contract violation: adversary answered {val!r}")
+        history += ((var, val),)
+        part = part.bind(var, val)
+        value = f.is_determined(part)
+    return history, value
+
+
 def run(algorithm: EvaluationAlgorithm, f: BooleanFunction,
         assignment: PartialAssignment, costs: CostVector) -> EvaluationTranscript:
     """Drive one strategy over a fixed full assignment until f is forced."""
@@ -129,20 +148,9 @@ def run(algorithm: EvaluationAlgorithm, f: BooleanFunction,
         raise ValueError("run needs a full assignment")
     if costs.n != f.n or assignment.n != f.n:
         raise ValueError("mismatched sizes between function, costs, and assignment")
-    history: list[tuple[int, int]] = []
-    reads: list[ReadRecord] = []
-    part = PartialAssignment(f.n)
-    total = Fraction(0)
-    value = f.is_determined(part)
-    while value is None:
-        var = _check_query(f.n, part.mask, algorithm.next_query(tuple(history)))
-        val = assignment.value(var)
-        history.append((var, val))
-        reads.append(ReadRecord(var, val, costs[var]))
-        total += costs[var]
-        part = part.bind(var, val)
-        value = f.is_determined(part)
-    return EvaluationTranscript(tuple(reads), value, total)
+    history, value = _play(algorithm, f, lambda var, _: assignment.value(var))
+    reads = tuple(ReadRecord(var, val, costs[var]) for var, val in history)
+    return EvaluationTranscript(reads, value, sum((r.cost for r in reads), Fraction(0)))
 
 
 def verify_transcript(f: BooleanFunction, transcript: EvaluationTranscript) -> bool:
@@ -216,29 +224,46 @@ def competitive_ratio_exhaustive(algorithm: EvaluationAlgorithm, f: BooleanFunct
                        per_assignment=rows)
 
 
+class FlipLastAdversary:
+    """Answers a fixed full assignment ``base``, except that the last unread
+    variable of ``tracked`` answers the opposite.
+
+    ``lp.SwitchAnalysis.adversary`` and ``quadratic.maxterm_adversary``
+    choose the two so that f stays open until every tracked variable is
+    read, which charges the strategy for all of them.
+    """
+
+    __slots__ = ("n", "base", "tracked")
+
+    def __init__(self, n: int, base: dict, tracked: frozenset):
+        self.n = n
+        self.base = base
+        self.tracked = tracked
+
+    def answer(self, variable: int, history: History) -> int:
+        if variable in self.tracked and \
+                self.tracked - {var for var, _ in history} == {variable}:
+            return 1 - self.base[variable]
+        return self.base[variable]
+
+    def finalize(self, history: History) -> PartialAssignment:
+        return PartialAssignment.of(self.n, {**self.base, **dict(history)})
+
+
 def adversarial_ratio(algorithm: EvaluationAlgorithm, f: BooleanFunction,
                       adversary: Adversary, costs: CostVector) -> RatioReport:
     """Play a strategy against an adversary; a lower-bound witness for the ratio."""
     if costs.n != f.n:
         raise ValueError("mismatched sizes between function and costs")
-    history: list[tuple[int, int]] = []
-    part = PartialAssignment(f.n)
-    total = Fraction(0)
-    while f.is_determined(part) is None:
-        var = _check_query(f.n, part.mask, algorithm.next_query(tuple(history)))
-        val = adversary.answer(var, tuple(history))
-        if val not in (0, 1):
-            raise ContractViolation(f"contract violation: adversary answered {val!r}")
-        history.append((var, val))
-        total += costs[var]
-        part = part.bind(var, val)
-    full = adversary.finalize(tuple(history))
+    history, _ = _play(algorithm, f, adversary.answer)
+    total = sum((costs[var] for var, _ in history), Fraction(0))
+    full = adversary.finalize(history)
     if not full.is_full or full.n != f.n:
         raise ContractViolation("contract violation: finalize did not return a full assignment")
     for var, val in history:
         if full.value(var) != val:
             raise ContractViolation("contract violation: finalize contradicts an answer")
-    _, proof_cost = cheapest_proof(f, full, costs, cap=f.n)
+    _, proof_cost = cheapest_proof(f, full, costs)
     return RatioReport(ratio_of(total, proof_cost), full, total, proof_cost)
 
 

@@ -33,7 +33,7 @@ from .core import (
     literal_set_key,
     minimal_witness_domains,
 )
-from .harness import History
+from .harness import FlipLastAdversary, History
 from .simplex import simplex_max
 
 ZERO = Fraction(0)
@@ -438,37 +438,6 @@ class BranchProofs(NamedTuple):
     argmax: tuple
 
 
-class SwitchAdversary:
-    """Makes every read of the switches and the certificate necessary.
-
-    Certificate variables answer toward their certificate, plain
-    variables outside it answer away from every same-side certificate,
-    and switches answer the chosen setting.  The one exception is the
-    last unread variable among switches plus certificate, whose answer
-    inverts, spoiling whatever the algorithm was building.
-    """
-
-    __slots__ = ("n", "base", "tracked")
-
-    def __init__(self, n: int, base: dict, tracked: frozenset):
-        self.n = n
-        self.base = base
-        self.tracked = tracked
-
-    def answer(self, variable: int, history: History) -> int:
-        if variable in self.tracked:
-            unread = self.tracked - {var for var, _ in history}
-            if unread == {variable}:
-                return 1 - self.base[variable]
-        return self.base[variable]
-
-    def finalize(self, history: History) -> PartialAssignment:
-        values = dict(history)
-        for v, b in self.base.items():
-            values.setdefault(v, b)
-        return PartialAssignment.of(self.n, values)
-
-
 class SwitchAnalysis:
     """The switch settings of a DNF, each branch checked and swept once.
 
@@ -562,7 +531,7 @@ class SwitchAnalysis:
                               "certificate qualifies")
 
     def adversary(self, setting, certificate,
-                  side: str = "minterm") -> tuple[CostVector, SwitchAdversary]:
+                  side: str = "minterm") -> tuple[CostVector, FlipLastAdversary]:
         """Unit costs on switches plus certificate, and the adversary that
         forces paying all of them.
 
@@ -571,6 +540,10 @@ class SwitchAnalysis:
         maxterm, per ``side``, of the function that setting leaves.  No
         other setting may certify the same way inside its variables; that
         condition is what keeps the final inverted answer unpredictable.
+
+        The adversary is a `FlipLastAdversary` tracking switches plus
+        certificate, whose base sets the switches, the certificate toward
+        itself, and every other variable away from same-side certificates.
         """
         if side not in ("minterm", "maxterm"):
             raise ValueError("side must be 'minterm' or 'maxterm'")
@@ -603,7 +576,7 @@ class SwitchAnalysis:
                 base[v] = 1 - away if self._flips.get(v, False) else away
         tracked = frozenset(self._switches) | cert_vars
         costs = CostVector.of([1 if v in tracked else 0 for v in range(n)])
-        return costs, SwitchAdversary(n, base, tracked)
+        return costs, FlipLastAdversary(n, base, tracked)
 
     def mixed_solution(self) -> LpSolution:
         """Averaging the per-setting optima gives a feasible full-program vector.

@@ -22,10 +22,11 @@ from .core import (
     PartialAssignment,
     PricedBoolError,
     certificates,
+    cost_json,
     literal_set_key,
     minterms,
 )
-from .harness import History
+from .harness import FlipLastAdversary, History
 
 
 def certificate_sizes(f: BooleanFunction) -> tuple[int, int]:
@@ -67,8 +68,8 @@ class QuadraticAnalysis:
             "local_winners": sorted(lit.text() for lit in self.local_winners),
             "outside_assignment": {f"x{v}": b for v, b in self.outside_assignment.items()},
             "survivors": sorted(lit.text() for lit in self.survivors),
-            "winner_costs": {f"x{v}": str(c) for v, c in enumerate(self.winner_costs.values)},
-            "survivor_costs": {f"x{v}": str(c) for v, c in enumerate(self.survivor_costs.values)},
+            "winner_costs": cost_json(self.winner_costs),
+            "survivor_costs": cost_json(self.survivor_costs),
         }
 
 
@@ -119,46 +120,13 @@ def maxterm_analysis(f: BooleanFunction) -> QuadraticAnalysis:
                              winner_costs, survivor_costs)
 
 
-class MaxtermAdversary:
-    """Zeroes the maxterm, except that the last tracked read flips to 1.
-
-    Outside variables answer per the fixed outside assignment.  Variables
-    of the maxterm answer their losing value until the pending query is
-    the last unread variable of the tracked charge set, which answers
-    its winning value, making the function 1.
-    """
-
-    __slots__ = ("n", "tracked", "literal_by_var", "outside")
-
-    def __init__(self, n: int, maxterm, tracked_literals, outside: PartialAssignment):
-        self.n = n
-        self.literal_by_var = {lit.variable: lit for lit in maxterm}
-        self.tracked = frozenset(lit.variable for lit in tracked_literals)
-        self.outside = outside
-
-    def answer(self, variable: int, history: History) -> int:
-        lit = self.literal_by_var.get(variable)
-        if lit is None:
-            return self.outside.value(variable)
-        if variable in self.tracked:
-            unread = self.tracked - {var for var, _ in history}
-            if unread == {variable}:
-                return lit.value_when_true
-        return 1 - lit.value_when_true
-
-    def finalize(self, history: History) -> PartialAssignment:
-        values = {var: val for var, val in history}
-        for v, b in self.outside.items():
-            values.setdefault(v, b)
-        for v, lit in self.literal_by_var.items():
-            values.setdefault(v, 1 - lit.value_when_true)
-        return PartialAssignment.of(self.n, values)
-
-
 def maxterm_adversary(f: BooleanFunction, charge: str = "winners",
                       analysis: Optional[QuadraticAnalysis] = None):
     """The cost map and adversary for one of the two charge sets.
 
+    The adversary is a `FlipLastAdversary` that zeroes the maxterm and
+    answers the outside assignment elsewhere, except that the last
+    unread charged variable answers its winning value, making f 1.
     ``charge='winners'`` tracks local winners plus survivors and forces
     ratio at least (|winners| + |survivors|)/2; ``charge='survivors'``
     tracks survivors only (which must exist) and forces |survivors|.
@@ -177,8 +145,9 @@ def maxterm_adversary(f: BooleanFunction, charge: str = "winners",
             raise PricedBoolError("the survivor charge set is empty for this function")
     else:
         raise ValueError("charge must be 'winners' or 'survivors'")
-    adversary = MaxtermAdversary(f.n, analysis.maxterm, tracked, analysis.outside_assignment)
-    return costs, adversary
+    base = dict(analysis.outside_assignment.items())
+    base.update((lit.variable, 1 - lit.value_when_true) for lit in analysis.maxterm)
+    return costs, FlipLastAdversary(f.n, base, frozenset(lit.variable for lit in tracked))
 
 
 # ---------------------------------------------------------------------------

@@ -201,60 +201,39 @@ def cheapest_proof_by_counts(profile: SymmetricProfile, assignment: PartialAssig
 class SymmetricAdversary:
     """Forces any strategy to pay the formula's worth before settling.
 
-    Commits the cheapest n-u-1 variables to 0, hands out ones for the
-    first k-n+u probes elsewhere, then zeros; the finalize step zeroes
-    the cheapest untouched non-committed variable and raises the rest.
+    Commits the cheapest n-u-1 variables to ``low``, hands out the other
+    value for the first k-n+u probes elsewhere, then ``low``; the finalize
+    step gives ``low`` to the cheapest untouched non-committed variable
+    and the other value to the rest.  ``low`` is 0, or 1 when the block
+    is mirrored from a profile whose widest block ends at n.
     """
 
-    __slots__ = ("n", "committed", "others", "quota", "k_star", "block")
+    __slots__ = ("n", "committed", "others", "quota", "low")
 
     def __init__(self, profile: SymmetricProfile, costs: CostVector,
-                 block: Block, k_star: int):
+                 block: Block, k_star: int, low: int):
         ranked = costs.sorted_order()
         self.n = profile.n
-        self.block = block
-        self.k_star = k_star
         head = self.n - block.upper - 1
         self.committed = frozenset(ranked[:head])
         self.others = ranked[head:]
         self.quota = k_star - (self.n - block.upper)
+        self.low = low
 
     def answer(self, variable: int, history: History) -> int:
         if variable in self.committed:
-            return 0
+            return self.low
         given = sum(1 for var, _ in history if var not in self.committed)
-        return 1 if given < self.quota else 0
+        return self.low ^ (given < self.quota)
 
     def finalize(self, history: History) -> PartialAssignment:
-        values = {var: val for var, val in history}
+        values = dict(history)
         for var in self.committed:
-            values.setdefault(var, 0)
+            values.setdefault(var, self.low)
         unset = [var for var in self.others if var not in values]
         for i, var in enumerate(unset):
-            values[var] = 0 if i == 0 else 1
+            values[var] = self.low ^ (i > 0)
         return PartialAssignment.of(self.n, values)
-
-
-class _FlippedAdversary:
-    """Play an adversary with every bit complemented, for mirrored profiles."""
-
-    __slots__ = ("inner", "n")
-
-    def __init__(self, inner, n: int):
-        self.inner = inner
-        self.n = n
-
-    @staticmethod
-    def _flip_history(history: History):
-        return tuple((var, 1 - val) for var, val in history)
-
-    def answer(self, variable: int, history: History) -> int:
-        return 1 - self.inner.answer(variable, self._flip_history(history))
-
-    def finalize(self, history: History) -> PartialAssignment:
-        full = self.inner.finalize(self._flip_history(history))
-        mask = (1 << self.n) - 1
-        return PartialAssignment(self.n, mask, full.bits ^ mask)
 
 
 def symmetric_adversary(profile: SymmetricProfile, costs: CostVector):
@@ -262,7 +241,8 @@ def symmetric_adversary(profile: SymmetricProfile, costs: CostVector):
 
     Built from the widest block with the smallest upper end.  When that
     block touches the all-ones count the roles of 0 and 1 are exchanged:
-    the adversary for the reversed profile plays with flipped answers.
+    the adversary plays the reversed profile's mirrored block with every
+    answer complemented, so it commits variables to 1 (``low`` = 1).
     """
     if profile.is_constant() is not None:
         raise ConstantFunctionError("no adversary for a constant function")
@@ -270,8 +250,8 @@ def symmetric_adversary(profile: SymmetricProfile, costs: CostVector):
         raise ValueError("cost vector size does not match the profile")
     widest = max(b.width for b in blocks(profile))
     chosen = min((b for b in blocks(profile) if b.width == widest), key=lambda b: b.upper)
-    if chosen.upper == profile.n:
-        inner = symmetric_adversary(profile.reversed(), costs)
-        return _FlippedAdversary(inner, profile.n)
+    low = int(chosen.upper == profile.n)
+    if low:  # the formula's k depends on the spread only, so it survives the mirror
+        chosen = Block(0, profile.n - chosen.lower, chosen.value)
     _, k_star = _formula_max(profile, costs)
-    return SymmetricAdversary(profile, costs, chosen, k_star)
+    return SymmetricAdversary(profile, costs, chosen, k_star, low)

@@ -351,3 +351,17 @@ def test_random_command_lines_keep_the_error_contract(verb, f, cost, cap):
     code, _, err = _outcome(argv)
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err, argv
+
+
+@pytest.mark.parametrize("exc, line", [
+    (KeyError("x3"), "error: internal error: KeyError: 'x3'\n"),
+    (ZeroDivisionError("division by zero"),
+     "error: internal error: ZeroDivisionError: division by zero\n"),
+])
+def test_an_escaped_fault_is_a_named_exit_2(monkeypatch, exc, line):
+    def broken(args):
+        raise exc
+
+    monkeypatch.setitem(cli._COMMANDS, "sym", broken)
+    code, out, err = _outcome(["sym", "--f", "majority:3"])
+    assert (code, out, err) == (2, "", line)

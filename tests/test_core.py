@@ -385,7 +385,7 @@ def test_cheapest_proof_needs_no_subcube_table():
     n = PROOF_ENUM_CAP + 2
     f = majority(n)
     full = PartialAssignment.full_from_index(n, (1 << n) - 1)
-    proof, cost = cheapest_proof(f, full, unit_costs(n), cap=n)
+    proof, cost = cheapest_proof(f, full, unit_costs(n))
     assert proof.variables == frozenset(range(n // 2 + 1)) and cost == n // 2 + 1
     assert f._subcubes is None
 

@@ -1,6 +1,7 @@
 """The evaluation harness: transcripts, exhaustive ratios, adversary plumbing."""
 
 import gc
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -31,8 +32,8 @@ from pricedbool.harness import (
     run,
     verify_transcript,
 )
-from pricedbool.lp import lp_guided_strategy
-from pricedbool.quadratic import make_pivot_pairs, pivot_two_phase
+from pricedbool.lp import SwitchAnalysis, lp_guided_strategy, make_switch_family, switch_example
+from pricedbool.quadratic import make_pivot_pairs, maxterm_adversary, pivot_two_phase
 from pricedbool.symmetric import SymmetricProfile
 
 MAJ3 = majority(3)
@@ -149,6 +150,46 @@ def test_adversarial_ratio_never_beats_exhaustive():
         forced = adversarial_ratio(greedy_strategy(costs), f, Fixed(full), costs)
         sweep = competitive_ratio_exhaustive(greedy_strategy(costs), f, costs)
         assert forced.ratio <= sweep.ratio
+        assert forced.algorithm_cost == run(greedy_strategy(costs), f, full, costs).total_cost
+
+
+def _flip_last_adversaries():
+    gd, switches = switch_example()
+    family = make_switch_family(1, 2)
+    for label, analysis in (("g", SwitchAnalysis(gd, switches)),
+                            ("family:1,2", SwitchAnalysis(family.dnf(), family.switch_variables))):
+        yield label, analysis.adversary(*analysis.certified_switch())[1]
+    for s in (1, 2, 3):
+        for charge in ("winners", "survivors"):
+            yield f"fstar:{s} {charge}", maxterm_adversary(make_pivot_pairs(s).function(),
+                                                           charge)[1]
+
+
+FLIP_LAST = dict(_flip_last_adversaries())
+
+
+@pytest.mark.parametrize("label", FLIP_LAST)
+def test_flip_last_adversary_flips_only_the_last_tracked_read(label):
+    adversary = FLIP_LAST[label]
+    rng = random.Random(label)
+    tracked = sorted(adversary.tracked)
+    untracked = sorted(set(range(adversary.n)) - adversary.tracked)
+    assert tracked and set(adversary.base) == set(range(adversary.n))
+    for order in itertools.permutations(tracked):
+        reads = list(order)
+        for var in rng.sample(untracked, len(untracked)):
+            reads.insert(rng.randint(0, len(reads)), var)
+        history = ()
+        for var in reads:
+            val = adversary.answer(var, history)
+            flipped = var == order[-1]
+            assert val == adversary.base[var] ^ flipped, (order, history, var)
+            history += ((var, val),)
+            full = adversary.finalize(history)
+            assert full.is_full and full.n == adversary.n
+            assert all(full.value(v) == b for v, b in history)
+            assert all(full.value(v) == adversary.base[v] for v in range(adversary.n)
+                       if v not in dict(history))
 
 
 def test_extremal_search_returns_the_argmax():

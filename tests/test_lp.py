@@ -208,6 +208,29 @@ def test_guided_reader_stays_within_the_sweep_value():
             assert rep.ratio <= delta
 
 
+def test_guided_reader_asked_out_of_order_reads_the_same_variables():
+    # a walk asks every history after its parent, so it never reaches the
+    # prefix replay; a fresh reader asked the deepest histories first must
+    # charge its way to the same answers
+    rng = random.Random(37)
+    asked = 0
+    for n in [2, 3, 4, 5, 6] * 12:
+        f = random_function(rng, n)
+        costs = random_cost_vector(n, rng)
+        walked = lp_guided_strategy(f, costs)
+        reads, stack = {}, [()]
+        while stack:
+            history = stack.pop()
+            if f.is_determined(PartialAssignment.of(n, dict(history))) is None:
+                reads[history] = var = walked.next_query(history)
+                stack += [history + ((var, b),) for b in (1, 0)]
+        fresh = lp_guided_strategy(f, costs)
+        for history in sorted(reads, key=len, reverse=True):
+            assert fresh.next_query(history) == reads[history], (f, costs, history)
+        asked += len(reads)
+    assert asked > 500
+
+
 def test_guided_reader_charges_survive_a_luring_chain():
     # raw cost-over-weight ranking pays 973/10 here and lands above the
     # sweep value; charging residuals keeps the total at 823/10
