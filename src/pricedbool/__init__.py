@@ -29,7 +29,6 @@ from .core import (
     cheapest_proof_costs,
     certificates,
     cost_json,
-    enumerate_proofs,
     literal_set_key,
     looks_like_table_text,
     majority,
@@ -57,16 +56,12 @@ from .harness import (
     History,
     RatioReport,
     ReadRecord,
-    ReplayStrategy,
     adversarial_ratio,
     competitive_ratio_exhaustive,
-    extremal_ratio_search,
     greedy_strategy,
     ratio_of,
     ratio_string,
-    replay_strategy,
     run,
-    verify_transcript,
 )
 from .lp import (
     BranchProofs,
@@ -89,7 +84,6 @@ from .quadratic import (
     PivotTwoPhase,
     QuadraticAnalysis,
     certificate_sizes,
-    is_quadratic,
     make_pivot_pairs,
     maxterm_adversary,
     maxterm_analysis,

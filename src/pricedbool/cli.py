@@ -14,7 +14,7 @@ text format, or from inline DNF text.  Costs come from the presets
 unit, extremal and random:<seed>, or from a JSON object.  Reports are
 deterministic given the command line; --json writes the report to a
 path.  Exit codes: 0 success, 1 a checked inequality failed, 2 bad
-input.
+input or an internal error.
 """
 
 from __future__ import annotations
@@ -220,10 +220,9 @@ def cmd_analyze(args) -> int:
         lines = [f"n: {f.n}", f"constant: {constant}"]
         return _finish(args, "analyze", {"f": src.label},
                        {"n": f.n, "constant": constant}, [], lines)
-    cap = _cap(args, PROOF_ENUM_CAP)
-    _require_cap(f.n, cap, "proof enumeration")
+    _require_cap(f.n, _cap(args, PROOF_ENUM_CAP), "proof enumeration")
     # every proof is a minterm or a maxterm, so one sweep gives all counts
-    mins, maxs = certificates(f, cap)
+    mins, maxs = certificates(f)
     k, ell = (max(len(t) for t in terms) for terms in (mins, maxs))
     largest, n_min, n_max = max(k, ell), len(mins), len(maxs)
     results = {"n": f.n, "proof_size_max": largest, "k": k, "l": ell,

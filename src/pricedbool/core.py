@@ -109,10 +109,6 @@ class PartialAssignment:
         return cls(n, (1 << n) - 1, index)
 
     @property
-    def size(self) -> int:
-        return self.mask.bit_count()
-
-    @property
     def is_full(self) -> bool:
         return self.mask == (1 << self.n) - 1
 
@@ -138,13 +134,6 @@ class PartialAssignment:
         if value not in (0, 1):
             raise ValueError("value must be 0 or 1")
         return PartialAssignment(self.n, self.mask | 1 << var, self.bits | value << var)
-
-    def restrict_to(self, variables: Iterable[int]) -> "PartialAssignment":
-        keep = 0
-        for v in variables:
-            keep |= 1 << v
-        keep &= self.mask
-        return PartialAssignment(self.n, keep, self.bits & keep)
 
     def bit_string(self) -> str:
         """Render a full assignment as the values of x0, x1, ... left to right."""
@@ -401,9 +390,6 @@ class BooleanFunction:
             return f"BooleanFunction({self.n}; {bits})"
         return f"BooleanFunction(n={self.n})"
 
-    def value_at(self, index: int) -> int:
-        return int(self.table[index])
-
     def evaluate(self, assignment: PartialAssignment) -> int:
         if assignment.n != self.n:
             raise ValueError("assignment is over a different variable count")
@@ -527,49 +513,27 @@ class Proof:
     variables: frozenset[int]
     witness: PartialAssignment
 
-    def check(self, f: BooleanFunction) -> bool:
-        part = self.witness.restrict_to(self.variables)
-        if part.size != len(self.variables):
-            return False
-        if f.is_determined(part) is None:
-            return False
-        for v in self.variables:
-            trimmed = part.restrict_to(self.variables - {v})
-            if f.is_determined(trimmed) is not None:
-                return False
-        return True
 
-
-def enumerate_proofs(f: BooleanFunction, cap: int = PROOF_ENUM_CAP) -> tuple[Proof, ...]:
-    """All proofs of f: minimal variable sets with a forcing witness.
-
-    A constant function has exactly one proof, the empty one.
-    """
-    _require_cap(f.n, cap, "proof enumeration")
-    return tuple(Proof(frozenset(_mask_vars(mask)), PartialAssignment(f.n, mask, bits))
-                 for mask, bits, _ in _sweep_minimal(f))
-
-
-def proof_variable_sets(f: BooleanFunction, cap: int = PROOF_ENUM_CAP) -> tuple[frozenset, ...]:
+def proof_variable_sets(f: BooleanFunction) -> tuple[frozenset, ...]:
     """The deduplicated variable sets of all proofs, sorted by size then mask."""
-    _require_cap(f.n, cap, "proof enumeration")
+    _require_cap(f.n, PROOF_ENUM_CAP, "proof enumeration")
     masks = dict.fromkeys(mask for mask, _, _ in _sweep_minimal(f))
     return tuple(frozenset(_mask_vars(mask)) for mask in masks)
 
 
-def max_proof_size(f: BooleanFunction, cap: int = PROOF_ENUM_CAP) -> int:
+def max_proof_size(f: BooleanFunction) -> int:
     """The largest proof size; 0 exactly for constant functions."""
-    _require_cap(f.n, cap, "proof enumeration")
+    _require_cap(f.n, PROOF_ENUM_CAP, "proof enumeration")
     return max(mask.bit_count() for mask, _, _ in _sweep_minimal(f))
 
 
-def minimal_witness_domains(f: BooleanFunction, cap: int = PROOF_ENUM_CAP) -> tuple[int, ...]:
+def minimal_witness_domains(f: BooleanFunction) -> tuple[int, ...]:
     """Minimal variable masks that admit some forcing witness.
 
     These are the inclusion-minimal proof variable sets; supersets are
     redundant as covering constraints since their row sums dominate.
     """
-    _require_cap(f.n, cap, "proof enumeration")
+    _require_cap(f.n, PROOF_ENUM_CAP, "proof enumeration")
     n = f.n
     # fold each variable's digits to (free, bound): ok[mask] says some
     # subcube with exactly the variables in mask bound is constant
@@ -588,10 +552,9 @@ def minimal_witness_domains(f: BooleanFunction, cap: int = PROOF_ENUM_CAP) -> tu
 # minterms and maxterms
 
 
-def certificates(f: BooleanFunction, cap: int = PROOF_ENUM_CAP
-                 ) -> tuple[tuple[frozenset, ...], tuple[frozenset, ...]]:
+def certificates(f: BooleanFunction) -> tuple[tuple[frozenset, ...], tuple[frozenset, ...]]:
     """The minterms and the maxterms of f: its proofs forcing 1 and 0."""
-    _require_cap(f.n, cap, "certificate enumeration")
+    _require_cap(f.n, PROOF_ENUM_CAP, "certificate enumeration")
     if f.is_constant() is not None:
         raise ConstantFunctionError(f"constant function (value {f.is_constant()}) has no certificates")
     by_value: tuple[list, list] = ([], [])
@@ -602,14 +565,14 @@ def certificates(f: BooleanFunction, cap: int = PROOF_ENUM_CAP
     return tuple(by_value[1]), tuple(by_value[0])
 
 
-def minterms(f: BooleanFunction, cap: int = PROOF_ENUM_CAP) -> tuple[frozenset, ...]:
+def minterms(f: BooleanFunction) -> tuple[frozenset, ...]:
     """Minimal literal sets that force f to 1 when all are made true."""
-    return certificates(f, cap)[0]
+    return certificates(f)[0]
 
 
-def maxterms(f: BooleanFunction, cap: int = PROOF_ENUM_CAP) -> tuple[frozenset, ...]:
+def maxterms(f: BooleanFunction) -> tuple[frozenset, ...]:
     """Minimal literal sets that force f to 0 when all are made false."""
-    return certificates(f, cap)[1]
+    return certificates(f)[1]
 
 
 def literal_set_key(term: Iterable[Literal]) -> tuple:
@@ -698,10 +661,9 @@ def _cheapest_proof_totals(f: BooleanFunction, costs: list[int]) -> list[int]:
     return [total[order[r]] for r in full.tolist()]
 
 
-def cheapest_proof_costs(f: BooleanFunction, costs: CostVector,
-                         cap: int = SEARCH_CAP) -> list[Fraction]:
+def cheapest_proof_costs(f: BooleanFunction, costs: CostVector) -> list[Fraction]:
     """Cheapest proof cost for every assignment index at once."""
-    _require_cap(f.n, cap, "cheapest-proof search")
+    _require_cap(f.n, SEARCH_CAP, "cheapest-proof search")
     scaled, scale = _scaled_costs(costs)
     return [Fraction(t, scale) for t in _cheapest_proof_totals(f, scaled)]
 
@@ -762,8 +724,8 @@ def parse_table_text(text: str) -> BooleanFunction:
         n = int(lines[0])
     except ValueError:
         raise ParseError(f"bad variable count: {lines[0]!r}") from None
-    if not 1 <= n <= TABLE_CAP:
-        raise ParseError(f"variable count {n} out of range 1..{TABLE_CAP}")
+    if not 0 <= n <= TABLE_CAP:
+        raise ParseError(f"variable count {n} out of range 0..{TABLE_CAP}")
     try:
         value = int(lines[1], 16)
     except ValueError:

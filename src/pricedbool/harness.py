@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Protocol, Sequence
+from typing import Callable, Optional, Protocol, Sequence
 
 from .core import (
     SEARCH_CAP,
@@ -86,21 +86,14 @@ class RatioReport:
     worst_assignment: Optional[PartialAssignment]
     algorithm_cost: Fraction
     proof_cost: Fraction
-    per_assignment: Optional[tuple] = None
 
     def to_json(self) -> dict:
-        out = {
+        return {
             "ratio": ratio_string(self.ratio),
             "worst_assignment": self.worst_assignment.bit_string() if self.worst_assignment else None,
             "alg_cost": str(self.algorithm_cost),
             "proof_cost": str(self.proof_cost),
         }
-        if self.per_assignment is not None:
-            out["per_assignment"] = [
-                {"assignment": a.bit_string(), "ratio": ratio_string(r)}
-                for a, r in self.per_assignment
-            ]
-        return out
 
 
 def ratio_of(algorithm_cost: Fraction, proof_cost: Fraction):
@@ -153,40 +146,19 @@ def run(algorithm: EvaluationAlgorithm, f: BooleanFunction,
     return EvaluationTranscript(reads, value, sum((r.cost for r in reads), Fraction(0)))
 
 
-def verify_transcript(f: BooleanFunction, transcript: EvaluationTranscript) -> bool:
-    """Check the stopping rule: determined at the end, not a single read earlier."""
-    part = PartialAssignment(f.n)
-    for record in transcript.reads[:-1]:
-        part = part.bind(record.variable, record.value)
-        if f.is_determined(part) is not None:
-            return False
-    if transcript.reads:
-        last = transcript.reads[-1]
-        part = part.bind(last.variable, last.value)
-    return f.is_determined(part) == transcript.final_value
-
-
-def competitive_ratio_exhaustive(algorithm: EvaluationAlgorithm, f: BooleanFunction,
-                                 costs: CostVector, per_assignment: bool = False,
-                                 cap: Optional[int] = None) -> RatioReport:
-    """The exact worst-case ratio of a strategy over every assignment.
+def _walk(algorithm: EvaluationAlgorithm, f: BooleanFunction, scaled: list[int]) -> list[int]:
+    """What the strategy pays, in the integer costs ``scaled``, on every
+    assignment index.
 
     One depth-first walk of the strategy's decision tree: ``next_query``
     is asked once per node, 0-branch first.  The walk carries the node's
     index into ``f.subcube_table()``; binding x_v to b subtracts
     (2-b)*3**v from it, so the stopping rule is one lookup.  A node where
     f is constant is a leaf, and every assignment inside it paid the
-    leaf's read set.  Costs are scaled to ints, so the ratios compare by
-    cross-multiplying.  The worst assignment is the lowest index among
-    the ties, as if the assignments were run one by one in index order.
+    leaf's read set.
     """
     n = f.n
-    _require_cap(n, SEARCH_CAP if cap is None else cap, "exhaustive ratio sweep")
-    if costs.n != n:
-        raise ValueError("mismatched sizes between function and costs")
     table = f.subcube_table().tobytes()
-    scaled, scale = _scaled_costs(costs)
-    proof = _cheapest_proof_totals(f, scaled)
     full = (1 << n) - 1
     paid = [0] * (1 << n)
     # (history, mask, bits, node, spent) per node still to visit
@@ -206,6 +178,25 @@ def competitive_ratio_exhaustive(algorithm: EvaluationAlgorithm, f: BooleanFunct
         for b in (1, 0):  # the 0-branch is popped, and so walked, first
             stack.append((history + ((var, b),), mask | 1 << var, bits | b << var,
                           node - (2 - b) * 3 ** var, spent + scaled[var]))
+    return paid
+
+
+def competitive_ratio_exhaustive(algorithm: EvaluationAlgorithm, f: BooleanFunction,
+                                 costs: CostVector, cap: int = SEARCH_CAP) -> RatioReport:
+    """The exact worst-case ratio of a strategy over every assignment.
+
+    `_walk` gives what the strategy pays on each assignment.  Costs are
+    scaled to ints, so the ratios compare by cross-multiplying.  The
+    worst assignment is the lowest index among the ties, as if the
+    assignments were run one by one in index order.
+    """
+    n = f.n
+    _require_cap(n, cap, "exhaustive ratio sweep")
+    if costs.n != n:
+        raise ValueError("mismatched sizes between function and costs")
+    scaled, scale = _scaled_costs(costs)
+    proof = _cheapest_proof_totals(f, scaled)
+    paid = _walk(algorithm, f, scaled)
     # a/p beats b/q when a*q > b*p; x/0 for x > 0 is then infinite
     # without special cases, and only 0/0 = 1 needs rewriting
     worst, top, bottom = 0, 0, 1
@@ -214,14 +205,9 @@ def competitive_ratio_exhaustive(algorithm: EvaluationAlgorithm, f: BooleanFunct
             a = p = 1
         if a * bottom > top * p:
             worst, top, bottom = index, a, p
-    rows = None
-    if per_assignment:
-        rows = tuple((PartialAssignment.full_from_index(n, index), ratio_of(a, p))
-                     for index, (a, p) in enumerate(zip(paid, proof)))
     return RatioReport(ratio_of(paid[worst], proof[worst]),
                        PartialAssignment.full_from_index(n, worst),
-                       Fraction(paid[worst], scale), Fraction(proof[worst], scale),
-                       per_assignment=rows)
+                       Fraction(paid[worst], scale), Fraction(proof[worst], scale))
 
 
 class FlipLastAdversary:
@@ -267,21 +253,6 @@ def adversarial_ratio(algorithm: EvaluationAlgorithm, f: BooleanFunction,
     return RatioReport(ratio_of(total, proof_cost), full, total, proof_cost)
 
 
-def extremal_ratio_search(algorithm_factory: Callable[[CostVector], EvaluationAlgorithm],
-                          f: BooleanFunction, cost_family: Iterable[CostVector],
-                          per_assignment: bool = False) -> tuple[RatioReport, CostVector]:
-    """Maximize the exhaustive ratio over a finite family of cost vectors."""
-    best: Optional[tuple[RatioReport, CostVector]] = None
-    for costs in cost_family:
-        report = competitive_ratio_exhaustive(algorithm_factory(costs), f, costs,
-                                              per_assignment=per_assignment)
-        if best is None or report.ratio > best[0].ratio:
-            best = (report, costs)
-    if best is None:
-        raise ValueError("extremal_ratio_search needs a nonempty cost family")
-    return best
-
-
 # ---------------------------------------------------------------------------
 # basic strategies
 
@@ -305,21 +276,3 @@ class GreedyStrategy:
 def greedy_strategy(costs: CostVector) -> GreedyStrategy:
     return GreedyStrategy(costs)
 
-
-class ReplayStrategy:
-    """Re-issue a fixed variable order, e.g. from a recorded transcript."""
-
-    __slots__ = ("order",)
-
-    def __init__(self, order: Sequence[int]):
-        self.order = tuple(order)
-
-    def next_query(self, history: History) -> int:
-        k = len(history)
-        if k >= len(self.order):
-            raise ContractViolation("contract violation: replayed transcript ran out of reads")
-        return self.order[k]
-
-
-def replay_strategy(order: Sequence[int]) -> ReplayStrategy:
-    return ReplayStrategy(order)

@@ -72,7 +72,7 @@ class LpSolution:
         }
 
 
-def build_lp(f: BooleanFunction, cap: int = PROOF_ENUM_CAP) -> ProofLp:
+def build_lp(f: BooleanFunction) -> ProofLp:
     """The covering program of f over its minimal proof variable sets.
 
     Dominated rows are dropped: a superset row's sum can only be larger.
@@ -80,7 +80,7 @@ def build_lp(f: BooleanFunction, cap: int = PROOF_ENUM_CAP) -> ProofLp:
     """
     if f.is_constant() is not None:
         return ProofLp(f.n, ())
-    masks = minimal_witness_domains(f, cap)
+    masks = minimal_witness_domains(f)
     return ProofLp(f.n, tuple(frozenset(_mask_vars(m)) for m in masks))
 
 

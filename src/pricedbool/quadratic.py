@@ -24,7 +24,6 @@ from .core import (
     certificates,
     cost_json,
     literal_set_key,
-    minterms,
 )
 from .harness import FlipLastAdversary, History
 
@@ -34,13 +33,6 @@ def certificate_sizes(f: BooleanFunction) -> tuple[int, int]:
     if f.is_constant() is not None:
         raise ConstantFunctionError("certificate sizes are undefined for a constant function")
     return tuple(max(len(t) for t in terms) for terms in certificates(f))
-
-
-def is_quadratic(f: BooleanFunction) -> bool:
-    """True when every minterm has at most two literals."""
-    if f.is_constant() is not None:
-        return True
-    return all(len(t) <= 2 for t in minterms(f))
 
 
 @dataclass(frozen=True)

@@ -65,9 +65,6 @@ class SymmetricProfile:
             return self.values[0]
         return None
 
-    def reversed(self) -> "SymmetricProfile":
-        return SymmetricProfile(tuple(reversed(self.values)))
-
     def function(self) -> BooleanFunction:
         return BooleanFunction(np.array(self.values, dtype=bool)[_popcounts(self.n)])
 
@@ -129,10 +126,6 @@ def determined_by_counts(profile: SymmetricProfile, zeros: int, ones: int) -> Op
 # the exact ratio formula
 
 
-def _sorted_costs(costs: CostVector) -> list[Fraction]:
-    return sorted(costs.values)
-
-
 def ratio_formula(profile: SymmetricProfile, costs: CostVector):
     """The exact competitive ratio for a symmetric function under given costs.
 
@@ -151,7 +144,7 @@ def ratio_formula(profile: SymmetricProfile, costs: CostVector):
 def _formula_max(profile: SymmetricProfile, costs: CostVector):
     n = profile.n
     s = spread(profile)
-    cs = _sorted_costs(costs)
+    cs = sorted(costs.values)
     prefix = [Fraction(0)]
     for c in cs:
         prefix.append(prefix[-1] + c)

@@ -4,7 +4,7 @@ Each check replays a fixed battery of instances derived from one seed
 and returns a report dictionary: a name, the case count, a pass flag,
 and the first few failures spelled out.  Arithmetic is exact, so every
 pass is an equality or inequality of rationals, never a tolerance.  The
-batteries are sized to finish in minutes while still sweeping every
+batteries take about 11 s in all at seed 0 while still sweeping every
 small instance class exhaustively.
 """
 

@@ -140,13 +140,16 @@ def test_sym_spread_verdicts(capsys):
 
 
 def test_gen_output_feeds_back_in(capsys, tmp_path):
-    code, out, _ = run_cli(capsys, "gen", "--f", "majority:3")
-    assert code == 0
-    path = tmp_path / "maj3.txt"
-    path.write_text(out)
-    code, out2, _ = run_cli(capsys, "analyze", "--f", str(path))
-    assert code == 0
-    assert "n: 3" in out2 and "PROOF: 2" in out2
+    for source, report in (("majority:3", ["n: 3", "PROOF: 2"]),
+                           ("parity:0", ["n: 0", "constant: 0"]),
+                           ("majority:0", ["n: 0", "constant: 0"])):
+        code, out, _ = run_cli(capsys, "gen", "--f", source)
+        assert code == 0
+        path = tmp_path / "f.txt"
+        path.write_text(out)
+        code, out2, err = run_cli(capsys, "analyze", "--f", str(path))
+        assert code == 0, (source, err)
+        assert out2.splitlines()[:2] == report, (source, out2)
 
 
 def test_gen_dnf_generators_print_dnf(capsys):

@@ -13,6 +13,7 @@ from pricedbool.core import (
     ContractViolation,
     CostVector,
     PartialAssignment,
+    _scaled_costs,
     cheapest_proof_costs,
     majority,
     parity,
@@ -22,21 +23,31 @@ from pricedbool.core import (
     unit_costs,
 )
 from pricedbool.harness import (
+    _walk,
     adversarial_ratio,
     competitive_ratio_exhaustive,
-    extremal_ratio_search,
     greedy_strategy,
     ratio_of,
     ratio_string,
-    replay_strategy,
     run,
-    verify_transcript,
 )
 from pricedbool.lp import SwitchAnalysis, lp_guided_strategy, make_switch_family, switch_example
 from pricedbool.quadratic import make_pivot_pairs, maxterm_adversary, pivot_two_phase
 from pricedbool.symmetric import SymmetricProfile
 
 MAJ3 = majority(3)
+
+
+class _Order:
+    """Reads a fixed variable order, whatever the answers."""
+
+    def __init__(self, order):
+        self.order = tuple(order)
+
+    def next_query(self, history):
+        if len(history) >= len(self.order):
+            raise ContractViolation("the order ran out of reads")
+        return self.order[len(history)]
 
 
 def test_run_stops_at_determination():
@@ -46,7 +57,10 @@ def test_run_stops_at_determination():
             unit_costs(2))
     assert [r.variable for r in t.reads] == [0, 1]
     assert t.final_value == 0 and t.total_cost == 2
-    assert verify_transcript(f, t)
+    # undetermined before the last read, forced to the final value by it
+    part = PartialAssignment.of(2, {0: 1})
+    assert f.is_determined(part) is None
+    assert f.is_determined(part.bind(1, 0)) == t.final_value
 
 
 def test_run_skips_nothing_needed():
@@ -65,14 +79,14 @@ def test_greedy_order_breaks_ties_by_index():
 def test_replay_exhaustion_is_a_contract_violation():
     f = parity(3)
     with pytest.raises(ContractViolation, match="ran out"):
-        run(replay_strategy([0]), f, PartialAssignment.full_from_index(3, 5),
+        run(_Order([0]), f, PartialAssignment.full_from_index(3, 5),
             unit_costs(3))
 
 
 def test_double_read_is_a_contract_violation():
     f = parity(2)
     with pytest.raises(ContractViolation, match="twice"):
-        run(replay_strategy([0, 0]), f, PartialAssignment.full_from_index(2, 0),
+        run(_Order([0, 0]), f, PartialAssignment.full_from_index(2, 0),
             unit_costs(2))
 
 
@@ -91,18 +105,11 @@ def test_exhaustive_greedy_on_majority_unit():
     assert rep.algorithm_cost == 3 and rep.proof_cost == 2
 
 
-def test_exhaustive_reports_per_assignment_when_asked():
-    rep = competitive_ratio_exhaustive(greedy_strategy(unit_costs(3)), MAJ3,
-                                       unit_costs(3), per_assignment=True)
-    assert len(rep.per_assignment) == 8
-    assert max(r for _, r in rep.per_assignment) == rep.ratio
-
-
 def test_free_variable_left_unread_gives_infinite_ratio():
-    # x1 is irrelevant and expensive; the replayed order pays it anyway
+    # x1 is irrelevant and expensive; the fixed order pays it anyway
     f = parse_dnf("x0", n=2).function()
     costs = CostVector.of([0, 5])
-    rep = competitive_ratio_exhaustive(replay_strategy([1, 0]), f, costs)
+    rep = competitive_ratio_exhaustive(_Order([1, 0]), f, costs)
     assert rep.ratio == math.inf
 
 
@@ -192,15 +199,6 @@ def test_flip_last_adversary_flips_only_the_last_tracked_read(label):
                        if v not in dict(history))
 
 
-def test_extremal_search_returns_the_argmax():
-    family = [unit_costs(3), CostVector.of([1, 1, 5]), CostVector.of([0, 1, 1])]
-    report, costs = extremal_ratio_search(greedy_strategy, MAJ3, family)
-    others = [competitive_ratio_exhaustive(greedy_strategy(c), MAJ3, c).ratio
-              for c in family]
-    assert report.ratio == max(others)
-    assert costs in family
-
-
 def test_adversarial_ratio_rejects_mismatched_costs():
     class Zeros:
         def answer(self, variable, history):
@@ -219,17 +217,17 @@ def test_adversarial_ratio_rejects_mismatched_costs():
 
 
 def _loop_report(algorithm, f, costs):
-    """The exhaustive sweep done the slow way: `run` on every assignment."""
-    proof = cheapest_proof_costs(f, costs, cap=f.n)
-    worst, rows = None, []
+    """The exhaustive sweep done the slow way: `run` on every assignment.
+    Returns the worst (ratio, assignment, paid, proof) and what each paid."""
+    proof = cheapest_proof_costs(f, costs)
+    worst, paid = None, []
     for index in range(1 << f.n):
         assignment = PartialAssignment.full_from_index(f.n, index)
-        paid = run(algorithm, f, assignment, costs).total_cost
-        r = ratio_of(paid, proof[index])
-        rows.append((assignment, r))
+        paid.append(run(algorithm, f, assignment, costs).total_cost)
+        r = ratio_of(paid[index], proof[index])
         if worst is None or r > worst[0]:
-            worst = (r, assignment, paid, proof[index])
-    return worst, tuple(rows)
+            worst = (r, assignment, paid[index], proof[index])
+    return worst, paid
 
 
 def _cost_kinds(n, rng):
@@ -242,12 +240,14 @@ def _cost_kinds(n, rng):
 
 
 def _assert_walk_matches_loop(make_algorithm, f, costs):
-    rep = competitive_ratio_exhaustive(make_algorithm(costs), f, costs, per_assignment=True)
-    worst, rows = _loop_report(make_algorithm(costs), f, costs)
+    rep = competitive_ratio_exhaustive(make_algorithm(costs), f, costs)
+    worst, paid = _loop_report(make_algorithm(costs), f, costs)
     assert (rep.ratio, rep.worst_assignment, rep.algorithm_cost, rep.proof_cost) == worst, \
         (f, costs)
     assert type(rep.algorithm_cost) is Fraction and type(rep.proof_cost) is Fraction
-    assert rep.per_assignment == rows
+    scaled, scale = _scaled_costs(costs)
+    walked = _walk(make_algorithm(costs), f, scaled)
+    assert [Fraction(a, scale) for a in walked] == paid, (f, costs)
 
 
 def test_walk_matches_the_loop_on_every_small_symmetric_profile():
@@ -289,12 +289,11 @@ def test_walk_matches_the_loop_for_the_guided_reader():
 
 def test_walk_on_a_function_without_variables():
     for value in (0, 1):
-        rep = competitive_ratio_exhaustive(greedy_strategy(unit_costs(0)),
-                                           BooleanFunction([value]), unit_costs(0),
-                                           per_assignment=True)
+        f = BooleanFunction([value])
+        rep = competitive_ratio_exhaustive(greedy_strategy(unit_costs(0)), f, unit_costs(0))
         assert rep.ratio == 1 and rep.algorithm_cost == rep.proof_cost == 0
         assert rep.worst_assignment.bit_string() == ""
-        assert len(rep.per_assignment) == 1
+        assert _walk(greedy_strategy(unit_costs(0)), f, []) == [0]
 
 
 class _Counting:
@@ -342,12 +341,12 @@ def test_walk_rejects_a_bad_query(var):
 
 def test_walk_rejects_a_double_query():
     with pytest.raises(ContractViolation, match="contract violation: variable x0 queried twice"):
-        competitive_ratio_exhaustive(replay_strategy([0, 0]), parity(2), unit_costs(2))
+        competitive_ratio_exhaustive(_Order([0, 0]), parity(2), unit_costs(2))
 
 
 def test_walk_rejects_an_exhausted_replay():
-    with pytest.raises(ContractViolation, match="replayed transcript ran out of reads"):
-        competitive_ratio_exhaustive(replay_strategy([0]), parity(3), unit_costs(3))
+    with pytest.raises(ContractViolation, match="the order ran out of reads"):
+        competitive_ratio_exhaustive(_Order([0]), parity(3), unit_costs(3))
 
 
 @pytest.mark.parametrize("size", [2, 4])
@@ -365,7 +364,7 @@ def test_walk_leaves_no_cyclic_garbage():
     gc.disable()
     try:
         competitive_ratio_exhaustive(greedy_strategy(unit_costs(5)), majority(5),
-                                     unit_costs(5), per_assignment=True)
+                                     unit_costs(5))
         assert gc.collect() == 0
     finally:
         gc.enable()

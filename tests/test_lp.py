@@ -90,7 +90,7 @@ def test_canonical_solution_commutes_with_relabeling():
         table = [0] * (1 << n)
         for index in range(1 << n):
             image = sum((index >> v & 1) << perm[v] for v in range(n))
-            table[image] = f.value_at(index)
+            table[image] = f.table[index]
         base = lp_solution(f).values
         assert lp_solution(BooleanFunction(table)).values == \
             tuple(base[perm.index(v)] for v in range(n))
@@ -335,7 +335,7 @@ def test_z_free_proofs_decompose_into_branch_minterms():
 def _assert_decomposition(dnf, switch_list):
     """Every proof of 1 avoiding the switches is a union of one minterm
     per switch setting, each realized by the proof's witness."""
-    from pricedbool.core import enumerate_proofs
+    from pricedbool.core import _sweep_minimal
 
     f = dnf.function()
     branches = []
@@ -350,22 +350,22 @@ def _assert_decomposition(dnf, switch_list):
             branches.append([
                 frozenset(Literal(kept[lit.variable], lit.negated) for lit in term)
                 for term in minterms(g)])
-    z_free = [p for p in enumerate_proofs(f)
-              if not p.variables & set(switch_list)
-              and f.is_determined(p.witness) == 1]
+    switch_mask = sum(1 << z for z in switch_list)
+    z_free = [(mask, bits) for mask, bits, value in _sweep_minimal(f)
+              if not mask & switch_mask and value == 1]
     assert z_free, "expected at least one switch-free proof of 1"
-    for proof in z_free:
+    for mask, bits in z_free:
+        variables = {v for v in range(f.n) if mask >> v & 1}
         options = []
         for terms in branches:
             realized = [t for t in terms
-                        if {lit.variable for lit in t} <= proof.variables
-                        and all(proof.witness.value(lit.variable) == lit.value_when_true
-                                for lit in t)]
+                        if {lit.variable for lit in t} <= variables
+                        and all(bits >> lit.variable & 1 == lit.value_when_true for lit in t)]
             options.append(realized)
         assert all(options), "some setting has no realized minterm inside the proof"
         assert any(
-            frozenset().union(*({lit.variable for lit in t} for t in pick)) == proof.variables
-            for pick in itertools.product(*options)), proof.variables
+            frozenset().union(*({lit.variable for lit in t} for t in pick)) == variables
+            for pick in itertools.product(*options)), variables
 
 
 @pytest.mark.parametrize("token, passes", [("g", 2), ("family:2,1", 4)])

@@ -23,18 +23,12 @@ from pricedbool.harness import (
 from pricedbool.lp import lp_guided_strategy
 from pricedbool.quadratic import (
     certificate_sizes,
-    is_quadratic,
     make_pivot_pairs,
     maxterm_adversary,
     maxterm_analysis,
     pivot_two_phase,
     random_quadratic,
 )
-
-
-def test_is_quadratic():
-    assert is_quadratic(parse_dnf("x0 & x1 | x2").function())
-    assert not is_quadratic(parse_dnf("x0 & x1 & x2").function())
 
 
 def test_certificate_sizes_on_pivot_pairs():
