@@ -53,7 +53,6 @@ from .harness import (
     EvaluationTranscript,
     FlipLastAdversary,
     GreedyStrategy,
-    History,
     RatioReport,
     ReadRecord,
     adversarial_ratio,

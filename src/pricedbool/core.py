@@ -597,11 +597,6 @@ def _subset_costs(n: int, costs: list[int]) -> list[int]:
     return total
 
 
-def _subset_order(total: list[int]) -> list[int]:
-    """Variable masks by nondecreasing cost, then size, then mask."""
-    return sorted(range(len(total)), key=lambda m: (total[m], m.bit_count(), m))
-
-
 def _forced_subsets(f: BooleanFunction, bits: int) -> np.ndarray:
     """f's value on the subcube binding each mask to ``bits``, else 2.
 
@@ -645,7 +640,8 @@ def _cheapest_proof_totals(f: BooleanFunction, costs: list[int]) -> list[int]:
     n = f.n
     table = f.subcube_table().reshape(-1)
     total = _subset_costs(n, costs)
-    order = _subset_order(total)
+    # only each assignment's least cost is returned, so ties need no order
+    order = sorted(range(len(total)), key=total.__getitem__)
     rank = np.empty(1 << n, dtype=np.int32)
     rank[order] = np.arange(1 << n)
     # spread each bound set's rank over its subcubes: digits 0 and 1 read

@@ -7,10 +7,13 @@ what a run paid against the cheapest proof for the same assignment, with
 the degenerate cases fixed as 0/0 = 1 and x/0 = infinity for x > 0.
 
 `run` plays one assignment and `adversarial_ratio` one adversary, both
-through the same read loop.  The exhaustive sweep does not replay the
-strategy per assignment: since ``next_query`` sees only the history, the
-strategy is a decision tree, and the sweep walks that tree once, depth
-first, reading the stopping rule off f's subcube table at every node.
+through the same read loop.  Strategies and adversaries see the values
+read so far as two bitmasks, ``mask`` and ``bits``: bit v of ``mask``
+says x_v was read, and bit v of ``bits`` is its value.  The exhaustive
+sweep does not replay the strategy per assignment: since ``next_query``
+sees only those values, the strategy is a decision tree, and the sweep
+walks that tree once, depth first, reading the stopping rule off f's
+subcube table at every node.
 
 ``math.inf`` is the lone non-rational value in the package; it never
 mixes with Fractions except through comparisons, which are exact.
@@ -21,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Protocol, Sequence
+from typing import Callable, Optional, Protocol
 
 from .core import (
     SEARCH_CAP,
@@ -35,31 +38,30 @@ from .core import (
     cheapest_proof,
 )
 
-History = Sequence[tuple[int, int]]
-
 
 class EvaluationAlgorithm(Protocol):
     """A strategy that names the next variable to read.
 
-    ``next_query`` must depend only on the history it is handed, so one
-    instance can be replayed across assignments.  It is only called while
-    the history leaves the function undetermined, and must return an
-    unread variable index.
+    ``next_query`` must depend only on the values read so far, handed to
+    it as (mask, bits), so one instance is a decision tree that serves
+    every assignment.  It is only called while those values leave the
+    function undetermined, and must return a variable outside ``mask``.
     """
 
-    def next_query(self, history: History) -> int: ...
+    def next_query(self, mask: int, bits: int) -> int: ...
 
 
 class Adversary(Protocol):
     """An answer source that fixes the assignment as it is probed.
 
-    ``finalize`` must extend the history to a full assignment that agrees
-    with every answer already given.
+    Both calls see the answers given so far as (mask, bits).  ``answer``
+    gives the value of an unread variable; ``finalize`` must extend the
+    answers to a full assignment that agrees with every one of them.
     """
 
-    def answer(self, variable: int, history: History) -> int: ...
+    def answer(self, variable: int, mask: int, bits: int) -> int: ...
 
-    def finalize(self, history: History) -> PartialAssignment: ...
+    def finalize(self, mask: int, bits: int) -> PartialAssignment: ...
 
 
 @dataclass(frozen=True)
@@ -117,21 +119,22 @@ def _check_query(n: int, mask: int, var) -> int:
 
 
 def _play(algorithm: EvaluationAlgorithm, f: BooleanFunction,
-          answer: Callable[[int, History], int]) -> tuple[History, int]:
+          answer: Callable[[int, int, int], int]) -> tuple[list[int], PartialAssignment, int]:
     """Read until f is forced: the strategy names each variable, ``answer``
-    gives its value.  Returns the history, as a tuple, and the forced value."""
-    history = ()
+    gives its value.  Returns the variables in read order, the values
+    read, and the forced value."""
+    order = []
     part = PartialAssignment(f.n)
     value = f.is_determined(part)
     while value is None:
-        var = _check_query(f.n, part.mask, algorithm.next_query(history))
-        val = answer(var, history)
+        var = _check_query(f.n, part.mask, algorithm.next_query(part.mask, part.bits))
+        val = answer(var, part.mask, part.bits)
         if val not in (0, 1):
             raise ContractViolation(f"contract violation: adversary answered {val!r}")
-        history += ((var, val),)
+        order.append(var)
         part = part.bind(var, val)
         value = f.is_determined(part)
-    return history, value
+    return order, part, value
 
 
 def run(algorithm: EvaluationAlgorithm, f: BooleanFunction,
@@ -141,8 +144,8 @@ def run(algorithm: EvaluationAlgorithm, f: BooleanFunction,
         raise ValueError("run needs a full assignment")
     if costs.n != f.n or assignment.n != f.n:
         raise ValueError("mismatched sizes between function, costs, and assignment")
-    history, value = _play(algorithm, f, lambda var, _: assignment.value(var))
-    reads = tuple(ReadRecord(var, val, costs[var]) for var, val in history)
+    order, part, value = _play(algorithm, f, lambda var, mask, bits: assignment.value(var))
+    reads = tuple(ReadRecord(var, part.value(var), costs[var]) for var in order)
     return EvaluationTranscript(reads, value, sum((r.cost for r in reads), Fraction(0)))
 
 
@@ -161,10 +164,10 @@ def _walk(algorithm: EvaluationAlgorithm, f: BooleanFunction, scaled: list[int])
     table = f.subcube_table().tobytes()
     full = (1 << n) - 1
     paid = [0] * (1 << n)
-    # (history, mask, bits, node, spent) per node still to visit
-    stack = [((), 0, 0, 3 ** n - 1, 0)]
+    # (mask, bits, node, spent) per node still to visit
+    stack = [(0, 0, 3 ** n - 1, 0)]
     while stack:
-        history, mask, bits, node, spent = stack.pop()
+        mask, bits, node, spent = stack.pop()
         if table[node] != 2:
             # every assignment below the leaf: each subset of the unread variables set to 1
             free = ones = full ^ mask
@@ -174,9 +177,9 @@ def _walk(algorithm: EvaluationAlgorithm, f: BooleanFunction, scaled: list[int])
                     break
                 ones = (ones - 1) & free
             continue
-        var = _check_query(n, mask, algorithm.next_query(history))
+        var = _check_query(n, mask, algorithm.next_query(mask, bits))
         for b in (1, 0):  # the 0-branch is popped, and so walked, first
-            stack.append((history + ((var, b),), mask | 1 << var, bits | b << var,
+            stack.append((mask | 1 << var, bits | b << var,
                           node - (2 - b) * 3 ** var, spent + scaled[var]))
     return paid
 
@@ -212,28 +215,24 @@ def competitive_ratio_exhaustive(algorithm: EvaluationAlgorithm, f: BooleanFunct
 
 class FlipLastAdversary:
     """Answers a fixed full assignment ``base``, except that the last unread
-    variable of ``tracked`` answers the opposite.
+    variable of ``tracked``, a mask, answers the opposite.
 
     ``lp.SwitchAnalysis.adversary`` and ``quadratic.maxterm_adversary``
     choose the two so that f stays open until every tracked variable is
     read, which charges the strategy for all of them.
     """
 
-    __slots__ = ("n", "base", "tracked")
+    __slots__ = ("base", "tracked")
 
     def __init__(self, n: int, base: dict, tracked: frozenset):
-        self.n = n
-        self.base = base
-        self.tracked = tracked
+        self.base = PartialAssignment.of(n, base)
+        self.tracked = sum(1 << v for v in tracked)
 
-    def answer(self, variable: int, history: History) -> int:
-        if variable in self.tracked and \
-                self.tracked - {var for var, _ in history} == {variable}:
-            return 1 - self.base[variable]
-        return self.base[variable]
+    def answer(self, variable: int, mask: int, bits: int) -> int:
+        return self.base.bits >> variable & 1 ^ (self.tracked & ~mask == 1 << variable)
 
-    def finalize(self, history: History) -> PartialAssignment:
-        return PartialAssignment.of(self.n, {**self.base, **dict(history)})
+    def finalize(self, mask: int, bits: int) -> PartialAssignment:
+        return PartialAssignment(self.base.n, self.base.mask, self.base.bits & ~mask | bits)
 
 
 def adversarial_ratio(algorithm: EvaluationAlgorithm, f: BooleanFunction,
@@ -241,14 +240,13 @@ def adversarial_ratio(algorithm: EvaluationAlgorithm, f: BooleanFunction,
     """Play a strategy against an adversary; a lower-bound witness for the ratio."""
     if costs.n != f.n:
         raise ValueError("mismatched sizes between function and costs")
-    history, _ = _play(algorithm, f, adversary.answer)
-    total = sum((costs[var] for var, _ in history), Fraction(0))
-    full = adversary.finalize(history)
+    order, part, _ = _play(algorithm, f, adversary.answer)
+    total = costs.cost(order)
+    full = adversary.finalize(part.mask, part.bits)
     if not full.is_full or full.n != f.n:
         raise ContractViolation("contract violation: finalize did not return a full assignment")
-    for var, val in history:
-        if full.value(var) != val:
-            raise ContractViolation("contract violation: finalize contradicts an answer")
+    if full.bits & part.mask != part.bits:
+        raise ContractViolation("contract violation: finalize contradicts an answer")
     _, proof_cost = cheapest_proof(f, full, costs)
     return RatioReport(ratio_of(total, proof_cost), full, total, proof_cost)
 
@@ -265,10 +263,9 @@ class GreedyStrategy:
     def __init__(self, costs: CostVector):
         self.order = costs.sorted_order()
 
-    def next_query(self, history: History) -> int:
-        seen = {var for var, _ in history}
+    def next_query(self, mask: int, bits: int) -> int:
         for var in self.order:
-            if var not in seen:
+            if not mask >> var & 1:
                 return var
         raise ContractViolation("contract violation: every variable was already read")
 

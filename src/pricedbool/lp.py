@@ -33,7 +33,7 @@ from .core import (
     literal_set_key,
     minimal_witness_domains,
 )
-from .harness import FlipLastAdversary, History
+from .harness import FlipLastAdversary
 from .simplex import simplex_max
 
 ZERO = Fraction(0)
@@ -286,38 +286,31 @@ class LpGuidedStrategy:
             raise ValueError("cost vector size does not match the function")
         self.f = f
         self.costs = costs
-        # (mask, bits) -> (variable read there, residuals after its charge)
+        # (mask, bits) of each state its own reads reach ->
+        # (variable read there, residuals after its charge)
         self._states: dict = {}
 
-    def next_query(self, history: History) -> int:
-        keys = [(0, 0)]
-        mask = bits = 0
-        for var, value in history:
-            mask |= 1 << var
-            if value:
-                bits |= 1 << var
-            keys.append((mask, bits))
-        cached = self._states.get(keys[-1])
-        if cached is not None:
-            return cached[0]
-        # replay forward from the deepest prefix already charged
-        depth = len(keys) - 1
-        while depth > 0 and keys[depth - 1] not in self._states:
-            depth -= 1
-        if depth == 0:
-            residuals = [Fraction(self.costs[v]) for v in range(self.f.n)]
-        else:
-            residuals = list(self._states[keys[depth - 1]][1])
-        for key in keys[depth:]:
-            entry = self._states.get(key)
+    def next_query(self, mask: int, bits: int) -> int:
+        entry = self._states.get((mask, bits))
+        if entry is not None:
+            return entry[0]
+        # charge forward from the root along the reader's own reads
+        at_mask = at_bits = 0
+        residuals = self.costs.values
+        while True:
+            entry = self._states.get((at_mask, at_bits))
             if entry is None:
-                entry = self._charge(key, residuals)
-                self._states[key] = entry
-            residuals = list(entry[1])
-        return self._states[keys[-1]][0]
+                entry = self._states[at_mask, at_bits] = self._charge(at_mask, at_bits, residuals)
+            if at_mask == mask and at_bits == bits:
+                return entry[0]
+            var, residuals = entry
+            if not mask >> var & 1:
+                raise ContractViolation("contract violation: the guided reader never "
+                                        "reaches this state")
+            at_mask |= 1 << var
+            at_bits |= bits & 1 << var
 
-    def _charge(self, key: tuple, residuals: list) -> tuple:
-        mask, bits = key
+    def _charge(self, mask: int, bits: int, residuals: tuple) -> tuple:
         f = self.f
         kept = tuple(v for v in range(f.n) if not mask >> v & 1)
         if mask == 0:
@@ -332,7 +325,7 @@ class LpGuidedStrategy:
             raise ContractViolation("contract violation: no variable left to read")
         for v in kept:
             if residuals[v] == 0:
-                return v, tuple(residuals)
+                return v, residuals
         sol = lp_solution(g)
         rate = None
         for j, v in enumerate(kept):

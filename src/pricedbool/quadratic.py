@@ -25,7 +25,7 @@ from .core import (
     cost_json,
     literal_set_key,
 )
-from .harness import FlipLastAdversary, History
+from .harness import FlipLastAdversary
 
 
 def certificate_sizes(f: BooleanFunction) -> tuple[int, int]:
@@ -207,20 +207,24 @@ class PivotTwoPhase:
         self.pairs = pairs
         self.order = costs.sorted_order()
 
-    def _discard(self, history: History) -> frozenset:
-        pairs = self.pairs
-        for var, val in history:
-            if var == pairs.pivot:
-                return frozenset(pairs.group_one if val == 0 else pairs.group_two)
-            if val == 1:
-                return frozenset(pairs.group_one if var in pairs.group_one else pairs.group_two)
-        return frozenset()
+    def _discard(self, mask: int, bits: int) -> int:
+        """The ruled-out group as a mask, 0 while phase one lasts.
 
-    def next_query(self, history: History) -> int:
-        seen = {var for var, _ in history}
-        skip = self._discard(history)
+        Phase one reads in cost order, so the first read variable in cost
+        order that is the pivot or came up 1 is the read that ended it.
+        """
+        pairs = self.pairs
+        group = (1 << pairs.s) - 1
         for var in self.order:
-            if var not in seen and var not in skip:
+            if mask >> var & 1 and (var == pairs.pivot or bits >> var & 1):
+                one = not bits >> var & 1 if var == pairs.pivot else var < pairs.s
+                return group if one else group << pairs.s
+        return 0
+
+    def next_query(self, mask: int, bits: int) -> int:
+        skip = mask | self._discard(mask, bits)
+        for var in self.order:
+            if not skip >> var & 1:
                 return var
         raise ContractViolation("contract violation: no variable left to read")
 

@@ -22,7 +22,7 @@ from .core import (
     PartialAssignment,
     _popcounts,
 )
-from .harness import History, ratio_of
+from .harness import ratio_of
 
 
 @dataclass(frozen=True)
@@ -208,25 +208,24 @@ class SymmetricAdversary:
         ranked = costs.sorted_order()
         self.n = profile.n
         head = self.n - block.upper - 1
-        self.committed = frozenset(ranked[:head])
+        self.committed = sum(1 << var for var in ranked[:head])
         self.others = ranked[head:]
         self.quota = k_star - (self.n - block.upper)
         self.low = low
 
-    def answer(self, variable: int, history: History) -> int:
-        if variable in self.committed:
+    def answer(self, variable: int, mask: int, bits: int) -> int:
+        if self.committed >> variable & 1:
             return self.low
-        given = sum(1 for var, _ in history if var not in self.committed)
+        given = (mask & ~self.committed).bit_count()
         return self.low ^ (given < self.quota)
 
-    def finalize(self, history: History) -> PartialAssignment:
-        values = dict(history)
-        for var in self.committed:
-            values.setdefault(var, self.low)
-        unset = [var for var in self.others if var not in values]
-        for i, var in enumerate(unset):
-            values[var] = self.low ^ (i > 0)
-        return PartialAssignment.of(self.n, values)
+    def finalize(self, mask: int, bits: int) -> PartialAssignment:
+        full = (1 << self.n) - 1
+        unset = [var for var in self.others if not mask >> var & 1]
+        # every unread variable gets low but the unset others after the cheapest
+        flipped = sum(1 << var for var in unset[1:])
+        ones = full & ~mask ^ flipped if self.low else flipped
+        return PartialAssignment(self.n, full, bits | ones)
 
 
 def symmetric_adversary(profile: SymmetricProfile, costs: CostVector):

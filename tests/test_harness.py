@@ -44,10 +44,10 @@ class _Order:
     def __init__(self, order):
         self.order = tuple(order)
 
-    def next_query(self, history):
-        if len(history) >= len(self.order):
+    def next_query(self, mask, bits):
+        if mask.bit_count() >= len(self.order):
             raise ContractViolation("the order ran out of reads")
-        return self.order[len(history)]
+        return self.order[mask.bit_count()]
 
 
 def test_run_stops_at_determination():
@@ -72,8 +72,9 @@ def test_run_skips_nothing_needed():
 
 def test_greedy_order_breaks_ties_by_index():
     alg = greedy_strategy(CostVector.of([3, 1, 1]))
-    assert alg.next_query(()) == 1
-    assert alg.next_query(((1, 0),)) == 2
+    assert alg.next_query(0, 0) == 1
+    assert alg.next_query(0b010, 0) == 2
+    assert alg.next_query(0b010, 0b010) == 2
 
 
 def test_replay_exhaustion_is_a_contract_violation():
@@ -124,15 +125,33 @@ def test_ratio_report_json_is_all_strings():
 
 def test_adversary_answers_must_be_consistent():
     class Liar:
-        def answer(self, variable, history):
+        def answer(self, variable, mask, bits):
             return 0
 
-        def finalize(self, history):
+        def finalize(self, mask, bits):
             return PartialAssignment.of(2, {0: 1, 1: 1})  # contradicts its answers
 
     f = parse_dnf("x0 & x1").function()
     with pytest.raises(ContractViolation, match="finalize"):
         adversarial_ratio(greedy_strategy(unit_costs(2)), f, Liar(), unit_costs(2))
+
+
+@pytest.mark.parametrize("var", [0, 1, 2])
+def test_finalize_contradicting_one_answer_raises_only_if_it_was_read(var):
+    # greedy reads x0 = x1 = 1 and stops; x2 stays unread, so only it may change
+    class FlipOne:
+        def answer(self, variable, mask, bits):
+            return 1
+
+        def finalize(self, mask, bits):
+            return PartialAssignment.full_from_index(3, 0b111 ^ 1 << var)
+
+    play = (greedy_strategy(unit_costs(3)), MAJ3, FlipOne(), unit_costs(3))
+    if var == 2:
+        assert adversarial_ratio(*play).worst_assignment.bit_string() == "110"
+    else:
+        with pytest.raises(ContractViolation, match="finalize contradicts an answer"):
+            adversarial_ratio(*play)
 
 
 def test_adversarial_ratio_never_beats_exhaustive():
@@ -147,10 +166,10 @@ def test_adversarial_ratio_never_beats_exhaustive():
             def __init__(self, full):
                 self.full = full
 
-            def answer(self, variable, history):
+            def answer(self, variable, mask, bits):
                 return self.full.value(variable)
 
-            def finalize(self, history):
+            def finalize(self, mask, bits):
                 return self.full
 
         full = PartialAssignment.full_from_index(4, rng.randrange(16))
@@ -179,32 +198,33 @@ FLIP_LAST = dict(_flip_last_adversaries())
 def test_flip_last_adversary_flips_only_the_last_tracked_read(label):
     adversary = FLIP_LAST[label]
     rng = random.Random(label)
-    tracked = sorted(adversary.tracked)
-    untracked = sorted(set(range(adversary.n)) - adversary.tracked)
-    assert tracked and set(adversary.base) == set(range(adversary.n))
+    base, n = adversary.base, adversary.base.n
+    tracked = [v for v in range(n) if adversary.tracked >> v & 1]
+    untracked = [v for v in range(n) if not adversary.tracked >> v & 1]
+    assert tracked and base.is_full
     for order in itertools.permutations(tracked):
         reads = list(order)
         for var in rng.sample(untracked, len(untracked)):
             reads.insert(rng.randint(0, len(reads)), var)
-        history = ()
+        part = PartialAssignment(n)
         for var in reads:
-            val = adversary.answer(var, history)
+            val = adversary.answer(var, part.mask, part.bits)
             flipped = var == order[-1]
-            assert val == adversary.base[var] ^ flipped, (order, history, var)
-            history += ((var, val),)
-            full = adversary.finalize(history)
-            assert full.is_full and full.n == adversary.n
-            assert all(full.value(v) == b for v, b in history)
-            assert all(full.value(v) == adversary.base[v] for v in range(adversary.n)
-                       if v not in dict(history))
+            assert val == base.value(var) ^ flipped, (order, part, var)
+            part = part.bind(var, val)
+            full = adversary.finalize(part.mask, part.bits)
+            assert full.is_full and full.n == n
+            assert all(full.value(v) == b for v, b in part.items())
+            assert all(full.value(v) == base.value(v) for v in range(n)
+                       if part.value(v) is None)
 
 
 def test_adversarial_ratio_rejects_mismatched_costs():
     class Zeros:
-        def answer(self, variable, history):
+        def answer(self, variable, mask, bits):
             return 0
 
-        def finalize(self, history):
+        def finalize(self, mask, bits):
             return PartialAssignment.full_from_index(2, 0)
 
     f = parse_dnf("x0 & x1").function()
@@ -303,9 +323,9 @@ class _Counting:
         self.inner = inner
         self.calls = 0
 
-    def next_query(self, history):
+    def next_query(self, mask, bits):
         self.calls += 1
-        return self.inner.next_query(history)
+        return self.inner.next_query(mask, bits)
 
 
 def test_walk_asks_once_per_decision_tree_node():
@@ -324,12 +344,12 @@ def test_walk_asks_once_per_decision_tree_node():
 
 
 class _Fixed:
-    """Returns one answer whatever the history."""
+    """Returns one answer whatever was read."""
 
     def __init__(self, var):
         self.var = var
 
-    def next_query(self, history):
+    def next_query(self, mask, bits):
         return self.var
 
 

@@ -5,9 +5,12 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "pricedbool"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "pricedbool"
 TREES = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
 MODULES = [name for name in TREES if name != "__init__.py"]
+# the test modules, keyed apart from the package's
+TEST_TREES = {f"tests/{p.name}": ast.parse(p.read_text()) for p in sorted(TESTS.glob("*.py"))}
 
 
 def _reads(tree) -> set:
@@ -23,9 +26,9 @@ def _reads(tree) -> set:
     return out
 
 
-@pytest.mark.parametrize("module", MODULES)
+@pytest.mark.parametrize("module", MODULES + list(TEST_TREES))
 def test_every_import_is_used(module):
-    tree = TREES[module]
+    tree = TREES.get(module) or TEST_TREES[module]
     loaded = {node.id for node in ast.walk(tree)
               if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     imported = {(alias.asname or alias.name).split(".")[0]

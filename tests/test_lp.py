@@ -10,6 +10,7 @@ import pytest
 
 from pricedbool.core import (
     BooleanFunction,
+    ContractViolation,
     CostVector,
     Dnf,
     Literal,
@@ -22,7 +23,6 @@ from pricedbool.core import (
     parse_dnf,
     random_cost_vector,
     random_function,
-    unit_costs,
 )
 from pricedbool.harness import competitive_ratio_exhaustive, greedy_strategy
 from pricedbool.lp import (
@@ -194,7 +194,7 @@ def test_guided_reader_parity_is_optimal():
 def test_guided_reader_reads_free_variables_first():
     costs = CostVector.of([5, 0, 7])
     alg = lp_guided_strategy(majority(3), costs)
-    assert alg.next_query(()) == 1
+    assert alg.next_query(0, 0) == 1
 
 
 def test_guided_reader_stays_within_the_sweep_value():
@@ -208,27 +208,57 @@ def test_guided_reader_stays_within_the_sweep_value():
             assert rep.ratio <= delta
 
 
+def _guided_reads(f, costs):
+    """The guided reader's read at every node of its decision tree, by (mask, bits)."""
+    walked = lp_guided_strategy(f, costs)
+    reads, stack = {}, [PartialAssignment(f.n)]
+    while stack:
+        part = stack.pop()
+        if f.is_determined(part) is None:
+            reads[part.mask, part.bits] = var = walked.next_query(part.mask, part.bits)
+            stack += [part.bind(var, b) for b in (1, 0)]
+    return reads
+
+
 def test_guided_reader_asked_out_of_order_reads_the_same_variables():
-    # a walk asks every history after its parent, so it never reaches the
-    # prefix replay; a fresh reader asked the deepest histories first must
-    # charge its way to the same answers
+    # a walk asks every state after its parent, whose charge is then
+    # cached; a fresh reader asked the deepest states first must charge
+    # its way from the root to the same answers
     rng = random.Random(37)
     asked = 0
     for n in [2, 3, 4, 5, 6] * 12:
         f = random_function(rng, n)
         costs = random_cost_vector(n, rng)
-        walked = lp_guided_strategy(f, costs)
-        reads, stack = {}, [()]
-        while stack:
-            history = stack.pop()
-            if f.is_determined(PartialAssignment.of(n, dict(history))) is None:
-                reads[history] = var = walked.next_query(history)
-                stack += [history + ((var, b),) for b in (1, 0)]
+        reads = _guided_reads(f, costs)
         fresh = lp_guided_strategy(f, costs)
-        for history in sorted(reads, key=len, reverse=True):
-            assert fresh.next_query(history) == reads[history], (f, costs, history)
+        for mask, bits in sorted(reads, key=lambda state: state[0].bit_count(), reverse=True):
+            assert fresh.next_query(mask, bits) == reads[mask, bits], (f, costs, mask, bits)
         asked += len(reads)
     assert asked > 500
+
+
+def test_guided_reader_refuses_a_state_its_reads_never_reach():
+    rng = random.Random(38)
+    refused = 0
+    for n in [2, 3, 4, 5] * 5:
+        f = random_function(rng, n, nonconstant=True)
+        costs = random_cost_vector(n, rng)
+        reads = _guided_reads(f, costs)
+        fresh = lp_guided_strategy(f, costs)
+        for mask in range(1, 1 << n):
+            for bits in range(1 << n):
+                if bits & ~mask or (mask, bits) in reads:
+                    continue
+                # a state where f is forced is never asked; any other one
+                # leaves the reader's own path somewhere above it
+                open_ = f.is_determined(PartialAssignment(n, mask, bits)) is None
+                with pytest.raises(ContractViolation,
+                                   match="never reaches" if open_ else "contract violation"):
+                    fresh.next_query(mask, bits)
+                refused += open_
+        # the refusals leave the reader's own states as they were
+        assert {state: fresh.next_query(*state) for state in reads} == reads
+    assert refused > 100
 
 
 def test_guided_reader_charges_survive_a_luring_chain():
@@ -447,10 +477,10 @@ def test_guided_reader_past_the_proof_cap_reads_free_variables(monkeypatch):
     n = core.PROOF_ENUM_CAP + 1
     monkeypatch.setattr(lp, "_SOLUTION_CACHE", {})
     alg = lp_guided_strategy(parity(n), CostVector.of([0, 0] + [1] * (n - 2)))
-    history = []
+    mask = 0
     for expected in (0, 1, 2):
-        assert alg.next_query(tuple(history)) == expected
-        history.append((expected, 1))
+        assert alg.next_query(mask, mask) == expected
+        mask |= 1 << expected
 
 
 def test_refinement_solves_few_programs(monkeypatch):

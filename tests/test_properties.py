@@ -1,7 +1,5 @@
 """Randomized structural properties, driven by hypothesis."""
 
-from fractions import Fraction
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -126,8 +126,54 @@ def test_two_phase_rejects_mismatched_costs():
         pivot_two_phase(make_pivot_pairs(2), unit_costs(3))
 
 
+class _HistoryTwoPhase:
+    """The two-phase reader driven by the (variable, value) reads in order."""
+
+    def __init__(self, pairs, costs):
+        self.pairs = pairs
+        self.order = costs.sorted_order()
+
+    def _discard(self, history):
+        pairs = self.pairs
+        for var, val in history:
+            if var == pairs.pivot:
+                return frozenset(pairs.group_one if val == 0 else pairs.group_two)
+            if val == 1:
+                return frozenset(pairs.group_one if var in pairs.group_one else pairs.group_two)
+        return frozenset()
+
+    def next_query(self, history):
+        seen = {var for var, _ in history}
+        skip = self._discard(history)
+        for var in self.order:
+            if var not in seen and var not in skip:
+                return var
+        raise ContractViolation("contract violation: no variable left to read")
+
+
+def test_two_phase_reads_as_the_history_reader_at_every_node():
+    rng = random.Random(41)
+    nodes = 0
+    for s in (1, 2, 3, 4):
+        pairs = make_pivot_pairs(s)
+        f = pairs.function()
+        kinds = [random_cost_vector(pairs.n, rng) for _ in range(8)] + [unit_costs(pairs.n)]
+        kinds += [CostVector.of(rng.choice((0, 1, 2)) for _ in range(pairs.n)) for _ in range(8)]
+        for costs in kinds:
+            old, new = _HistoryTwoPhase(pairs, costs), pivot_two_phase(pairs, costs)
+            stack = [((), PartialAssignment(pairs.n))]
+            while stack:
+                history, part = stack.pop()
+                if f.is_determined(part) is None:
+                    var = old.next_query(history)
+                    assert new.next_query(part.mask, part.bits) == var, (costs, history)
+                    stack += [(history + ((var, b),), part.bind(var, b)) for b in (1, 0)]
+                    nodes += 1
+    assert nodes > 800
+
+
 def test_two_phase_with_nothing_left_to_read_is_a_contract_violation():
     pairs = make_pivot_pairs(1)
     strategy = pivot_two_phase(pairs, unit_costs(3))
     with pytest.raises(ContractViolation, match="no variable left"):
-        strategy.next_query(((0, 0), (1, 0), (2, 0)))
+        strategy.next_query(0b111, 0)

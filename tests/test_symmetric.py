@@ -8,7 +8,6 @@ import pytest
 
 from pricedbool.core import (
     ConstantFunctionError,
-    CostVector,
     PartialAssignment,
     cheapest_proof_costs,
     majority,
