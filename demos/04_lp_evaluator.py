@@ -58,22 +58,22 @@ print(f"  greedy worst ratio: {greedy} > {delta}")
 print(f"  guided worst ratio: {guided} <= {delta}")
 assert guided <= delta < greedy
 
-# pinning the sweep value from below: a certified switch
+# pinning the sweep value from below: a certified switch, returned with
+# the adversary that charges it
 dnf, switches = switch_example()
 analysis = SwitchAnalysis(dnf, switches)
 g = analysis.f
 k = len(switches)
 print(f"\n{dnf.text()}  (x4 appears in both polarities)")
-gamma = analysis.proofs.size
+gamma = analysis.proof_size
 print(f"  largest proof over the settings of the switch: {gamma}")
 mixed = analysis.mixed_solution()
 print(f"  averaging the per-setting optima is feasible at weight"
       f" {mixed.objective} = {k} + {gamma}")
-setting, certificate, side = analysis.certified_switch()
+setting, certificate, side, charge, adversary = analysis.certified_switch()
 names = ", ".join(f"x{v}" for v in certificate)
 print(f"  setting x4 = {setting[0]} leaves a {side} on {names} that no"
       f" other setting can certify")
-charge, adversary = analysis.adversary(setting, certificate, side)
 for name, alg in (("greedy", greedy_strategy(charge)),
                   ("guided reader", lp_guided_strategy(g, charge))):
     forced = adversarial_ratio(alg, g, adversary, charge)

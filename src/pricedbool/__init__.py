@@ -63,7 +63,6 @@ from .harness import (
     run,
 )
 from .lp import (
-    BranchProofs,
     FamilySpec,
     LpGuidedStrategy,
     LpSolution,

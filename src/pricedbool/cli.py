@@ -242,11 +242,9 @@ def _build_algorithm(name: str, src: FunctionSource, costs: CostVector):
         return greedy_strategy(costs)
     if name == "lpa":
         return lp_guided_strategy(src.f, costs)
-    if name == "bf2":
-        if src.pairs is None:
-            raise PricedBoolError("bf2 runs only on fstar:<s> instances")
-        return pivot_two_phase(src.pairs, costs)
-    raise PricedBoolError(f"unknown algorithm {name!r}; use greedy, bf2, or lpa")
+    if src.pairs is None:
+        raise PricedBoolError("bf2 runs only on fstar:<s> instances")
+    return pivot_two_phase(src.pairs, costs)
 
 
 def cmd_ratio(args) -> int:
@@ -355,6 +353,8 @@ def cmd_lp(args) -> int:
     src = load_function(args.f)
     f = src.f
     if args.lp_command == "solve":
+        if f.is_constant() is None:
+            _require_cap(f.n, _cap(args, PROOF_ENUM_CAP), "proof enumeration")
         sol = lp_solution(f)
         lines = [f"objective: {sol.objective}", f"rows: {sol.row_count}"]
         lines += [f"s(x{v}) = {value}" for v, value in enumerate(sol.values)]
@@ -400,9 +400,7 @@ def cmd_lp(args) -> int:
         return _finish(args, "lp family", {"f": src.label},
                        {"n": f.n, "switches": k, "groups": t, "delta": str(delta),
                         "proof_size_max": largest}, verdicts, lines)
-    if args.lp_command == "lemma2":
-        return _lp_switch_report(args, src)
-    raise PricedBoolError(f"unknown lp subcommand {args.lp_command!r}")
+    return _lp_switch_report(args, src)
 
 
 def _lp_switch_report(args, src: FunctionSource) -> int:
@@ -418,11 +416,10 @@ def _lp_switch_report(args, src: FunctionSource) -> int:
         raise PricedBoolError("no variable appears in both polarities; "
                               "there is no switch to analyze")
     analysis = SwitchAnalysis(dnf, switches)
-    gamma = analysis.proofs.size
+    gamma = analysis.proof_size
     target = len(switches) + gamma
     mixed = analysis.mixed_solution()
-    setting, certificate, side = analysis.certified_switch()
-    adv_costs, adversary = analysis.adversary(setting, certificate, side)
+    setting, certificate, side, adv_costs, adversary = analysis.certified_switch()
     forced = {}
     for name, algorithm in (("greedy", greedy_strategy(adv_costs)),
                             ("lpa", lp_guided_strategy(f, adv_costs))):
@@ -469,22 +466,22 @@ def cmd_quad(args) -> int:
         text = pairs.dnf().text()
         return _finish(args, "quad fstar", {"s": pairs.s},
                        {"n": pairs.n, "dnf": text}, [], [text])
-    if args.quad_command == "analyze":
-        src = load_function(args.f)
-        analysis = maxterm_analysis(src.f)
-        rest = len(analysis.maxterm) - len(analysis.local_winners)
-        verdicts = [_verdict("survivors cover half the undecided maxterm",
-                             2 * len(analysis.survivors) >= rest,
-                             f"2*{len(analysis.survivors)} >= {rest}")]
-        lines = [
-            "maxterm: " + " ".join(lit.text() for lit in analysis.maxterm),
-            "local winners: " + (" ".join(sorted(lit.text() for lit in analysis.local_winners)) or "-"),
-            "survivors: " + (" ".join(sorted(lit.text() for lit in analysis.survivors)) or "-"),
-            f"outside assignment: {dict(analysis.outside_assignment.items())}",
-        ]
-        return _finish(args, "quad analyze", {"f": src.label}, analysis.to_json(),
-                       verdicts, lines)
-    raise PricedBoolError(f"unknown quad subcommand {args.quad_command!r}")
+    src = load_function(args.f)
+    if src.f.is_constant() is None:
+        _require_cap(src.f.n, _cap(args, PROOF_ENUM_CAP), "certificate enumeration")
+    analysis = maxterm_analysis(src.f)
+    rest = len(analysis.maxterm) - len(analysis.local_winners)
+    verdicts = [_verdict("survivors cover half the undecided maxterm",
+                         2 * len(analysis.survivors) >= rest,
+                         f"2*{len(analysis.survivors)} >= {rest}")]
+    lines = [
+        "maxterm: " + " ".join(lit.text() for lit in analysis.maxterm),
+        "local winners: " + (" ".join(sorted(lit.text() for lit in analysis.local_winners)) or "-"),
+        "survivors: " + (" ".join(sorted(lit.text() for lit in analysis.survivors)) or "-"),
+        f"outside assignment: {dict(analysis.outside_assignment.items())}",
+    ]
+    return _finish(args, "quad analyze", {"f": src.label}, analysis.to_json(),
+                   verdicts, lines)
 
 
 def cmd_verify(args) -> int:

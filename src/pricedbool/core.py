@@ -304,36 +304,24 @@ def parse_dnf(text: str, n: int | None = None) -> Dnf:
     Terms are separated by ``|`` and literals inside a term by ``&``.
     Variable count defaults to one past the largest index seen.
     """
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            break
-        tokens.append(m.group(1))
-        pos = m.end()
+    tokens = _TOKEN.findall(text)
     if not tokens:
         raise ParseError("empty DNF")
     terms: list[frozenset] = []
     current: list[Literal] = []
-    expect_literal = True
+    # literals take the odd token numbers, operators the even ones
     for i, tok in enumerate(tokens, start=1):
-        if expect_literal:
+        if i % 2:
             m = re.fullmatch(r"(!?)x(\d+)", tok)
             if m is None:
                 raise ParseError(f"expected literal, found {tok!r}", token=i)
             current.append(Literal(int(m.group(2)), negated=bool(m.group(1))))
-            expect_literal = False
-        else:
-            if tok == "&":
-                expect_literal = True
-            elif tok == "|":
-                terms.append(frozenset(current))
-                current = []
-                expect_literal = True
-            else:
-                raise ParseError(f"expected '&' or '|', found {tok!r}", token=i)
-    if expect_literal:
+        elif tok == "|":
+            terms.append(frozenset(current))
+            current = []
+        elif tok != "&":
+            raise ParseError(f"expected '&' or '|', found {tok!r}", token=i)
+    if len(tokens) % 2 == 0:
         raise ParseError("expected literal", token=len(tokens) + 1)
     terms.append(frozenset(current))
     if n is None:
@@ -617,10 +605,10 @@ def cheapest_proof(f: BooleanFunction, assignment: PartialAssignment,
                    costs: CostVector) -> tuple[Proof, Fraction]:
     """The cheapest proof consistent with a full assignment.
 
-    Takes the cheapest variable subset that forces f under the assignment
-    (ties to fewer variables, then the lower mask) and minimalizes it by
-    dropping removable variables in ascending index order (only zero-cost
-    variables can ever be removable).
+    Takes the cheapest variable subset that forces f under the assignment,
+    ties to fewer variables, then the lower mask.  Costs are nonnegative,
+    so dropping a variable that is not needed never costs more; the
+    tie-break on size thus leaves the subset inclusion-minimal.
     """
     if not assignment.is_full:
         raise PricedBoolError("incomplete assignment: cheapest_proof needs every value")
@@ -628,9 +616,6 @@ def cheapest_proof(f: BooleanFunction, assignment: PartialAssignment,
     total = _subset_costs(f.n, scaled)
     forced = _forced_subsets(f, assignment.bits)
     keep = min(np.flatnonzero(forced != 2).tolist(), key=lambda m: (total[m], m.bit_count(), m))
-    for v in _mask_vars(keep):
-        if forced[keep ^ 1 << v] != 2:
-            keep ^= 1 << v
     part = PartialAssignment(f.n, keep, assignment.bits & keep)
     return Proof(frozenset(_mask_vars(keep)), part), Fraction(total[keep], scale)
 

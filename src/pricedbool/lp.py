@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .core import (
     PROOF_ENUM_CAP,
     SEARCH_CAP,
     BooleanFunction,
-    ConstantFunctionError,
     ContractViolation,
     CostVector,
     Dnf,
@@ -57,12 +56,11 @@ class ProofLp:
 
 @dataclass(frozen=True)
 class LpSolution:
-    """An exact weight vector with its objective and how it was obtained."""
+    """An exact weight vector with its objective and the number of covering rows."""
 
     values: tuple[Fraction, ...]
     objective: Fraction
     row_count: int
-    status: str
 
     def to_json(self) -> dict:
         return {
@@ -150,7 +148,7 @@ def solve_lp(lp: ProofLp) -> LpSolution:
     n = lp.n
     rows = lp.rows
     if not rows:
-        return LpSolution((ZERO,) * n, ZERO, 0, "optimal")
+        return LpSolution((ZERO,) * n, ZERO, 0)
     objective, _ = _optimal_value(n, rows)
     pins: dict[int, Fraction] = {}
     free = list(range(n))
@@ -173,7 +171,7 @@ def solve_lp(lp: ProofLp) -> LpSolution:
         free = [v for v in free if v not in pins]
     values = [pins[v] for v in range(n)]
     _certify(rows, values, objective)
-    return LpSolution(tuple(values), objective, len(rows), "optimal")
+    return LpSolution(tuple(values), objective, len(rows))
 
 
 # Both caches live as long as the process.  Each keeps at most CACHE_CAP
@@ -426,11 +424,6 @@ def _polarities(dnf: Dnf) -> tuple[set, set]:
     return pos, neg
 
 
-class BranchProofs(NamedTuple):
-    size: int
-    argmax: tuple
-
-
 class SwitchAnalysis:
     """The switch settings of a DNF, each branch checked and swept once.
 
@@ -489,75 +482,42 @@ class SwitchAnalysis:
                             for term in side_terms]
                      for side, side_terms in zip(("minterm", "maxterm"), sides)}
             self._branches.append((setting, g, kept, terms))
-        sizes = {setting: max((len(t) for side in terms.values() for t in side), default=0)
-                 for setting, _, _, terms in self._branches}
-        top = max(sizes.values())
-        self.proofs = BranchProofs(top, tuple(s for s, size in sizes.items() if size == top))
+        self.proof_size = max((len(t) for _, _, _, terms in self._branches
+                               for side in terms.values() for t in side), default=0)
 
-    def _certified_elsewhere(self, code: int, side: str, variables: frozenset) -> bool:
-        """Whether a setting other than ``code`` has a ``side`` certificate
-        inside ``variables``."""
-        return any({lit.variable for lit in term} <= variables
-                   for other, (_, _, _, terms) in enumerate(self._branches) if other != code
-                   for term in terms[side])
-
-    def certified_switch(self) -> tuple[tuple, tuple, str]:
-        """A (setting, certificate, side) triple passing the certification check.
+    def certified_switch(self) -> tuple[tuple, tuple, str, CostVector, FlipLastAdversary]:
+        """The first certification passing the check, with its adversary.
 
         Scans the settings with the largest proofs in binary order, minterms
         before maxterms, certificates of that largest size in literal order,
-        and returns the first one no other setting certifies inside.
-        Raises when none qualifies.
+        and takes the first one no other setting certifies inside; that
+        condition is what keeps the adversary's final inverted answer
+        unpredictable.  Returns the setting (each switch's value in
+        increasing variable order), the certificate's variables, its side,
+        unit costs on switches plus certificate, and the adversary that
+        forces paying all of them.  Raises when none qualifies.
         """
-        if self.proofs.size == 0:
+        if self.proof_size == 0:
             raise PricedBoolError("every switch setting leaves a constant function")
-        for setting in self.proofs.argmax:
-            code = sum(bit << s for s, bit in enumerate(setting))
-            _, _, _, by_side = self._branches[code]
+        for code, (setting, _, _, by_side) in enumerate(self._branches):
             for side, side_terms in by_side.items():
-                terms = [term for term in side_terms if len(term) == self.proofs.size]
+                terms = [term for term in side_terms if len(term) == self.proof_size]
                 for term in sorted(terms, key=literal_set_key):
                     variables = frozenset(lit.variable for lit in term)
-                    if not self._certified_elsewhere(code, side, variables):
-                        return setting, tuple(sorted(variables)), side
+                    if not any({lit.variable for lit in other} <= variables
+                               for elsewhere, (_, _, _, others) in enumerate(self._branches)
+                               if elsewhere != code
+                               for other in others[side]):
+                        return (setting, tuple(sorted(variables)), side,
+                                *self._adversary(setting, term, side))
         raise PricedBoolError("switch certification hypothesis not met: no largest "
                               "certificate qualifies")
 
-    def adversary(self, setting, certificate,
-                  side: str = "minterm") -> tuple[CostVector, FlipLastAdversary]:
-        """Unit costs on switches plus certificate, and the adversary that
-        forces paying all of them.
-
-        ``setting`` gives each switch's value in increasing variable order;
-        ``certificate`` (variable indices or literals) must be a minterm or
-        maxterm, per ``side``, of the function that setting leaves.  No
-        other setting may certify the same way inside its variables; that
-        condition is what keeps the final inverted answer unpredictable.
-
-        The adversary is a `FlipLastAdversary` tracking switches plus
-        certificate, whose base sets the switches, the certificate toward
-        itself, and every other variable away from same-side certificates.
-        """
-        if side not in ("minterm", "maxterm"):
-            raise ValueError("side must be 'minterm' or 'maxterm'")
-        k = len(self._switches)
-        setting = tuple(int(b) for b in setting)
-        if len(setting) != k or any(b not in (0, 1) for b in setting):
-            raise ValueError(f"the setting needs one bit per switch ({k})")
-        code = sum(bit << s for s, bit in enumerate(setting))
-        _, chosen, _, terms = self._branches[code]
-        if chosen.is_constant() is not None:
-            raise ConstantFunctionError("the chosen switch setting leaves a constant function, "
-                                        "which has no certificates")
-        cert = frozenset(item if isinstance(item, Literal)
-                         else Literal(int(item), negated=self._flips.get(int(item), False))
-                         for item in certificate)
-        if cert not in terms[side]:
-            raise PricedBoolError(f"the certificate is not a {side} of the chosen setting")
-        cert_vars = frozenset(lit.variable for lit in cert)
-        if self._certified_elsewhere(code, side, cert_vars):
-            raise PricedBoolError("switch certification hypothesis not met: another "
-                                  "setting certifies inside the chosen variables")
+    def _adversary(self, setting: tuple, cert: frozenset,
+                   side: str) -> tuple[CostVector, FlipLastAdversary]:
+        """A `FlipLastAdversary` tracking switches plus certificate, whose
+        base sets the switches, the certificate toward itself, and every
+        other variable away from same-side certificates."""
         toward = 1 if side == "minterm" else 0
         base = {z: setting[s] for s, z in enumerate(self._switches)}
         for lit in cert:
@@ -567,7 +527,7 @@ class SwitchAnalysis:
         for v in range(n):
             if v not in base:
                 base[v] = 1 - away if self._flips.get(v, False) else away
-        tracked = frozenset(self._switches) | cert_vars
+        tracked = frozenset(self._switches) | {lit.variable for lit in cert}
         costs = CostVector.of([1 if v in tracked else 0 for v in range(n)])
         return costs, FlipLastAdversary(n, base, tracked)
 
@@ -601,6 +561,6 @@ class SwitchAnalysis:
                     f": switch setting {constant} leaves a constant function"
                 raise PricedBoolError("the averaged branch vector misses a covering row" + reason)
         objective = sum(values)
-        if objective > k + self.proofs.size:
+        if objective > k + self.proof_size:
             raise PricedBoolError("the averaged branch vector exceeds its intended bound")
-        return LpSolution(tuple(values), objective, len(rows), "feasible")
+        return LpSolution(tuple(values), objective, len(rows))

@@ -210,16 +210,17 @@ class PivotTwoPhase:
     def _discard(self, mask: int, bits: int) -> int:
         """The ruled-out group as a mask, 0 while phase one lasts.
 
-        Phase one reads in cost order, so the first read variable in cost
-        order that is the pivot or came up 1 is the read that ended it.
+        A read pivot decides the group by its value; otherwise a 1 rules
+        out its own group.  While f is open these triggers all agree: the
+        pivot at 1 with a 1 in group one, the pivot at 0 with a 1 in group
+        two, or a 1 in each group, would each force f.
         """
         pairs = self.pairs
-        group = (1 << pairs.s) - 1
-        for var in self.order:
-            if mask >> var & 1 and (var == pairs.pivot or bits >> var & 1):
-                one = not bits >> var & 1 if var == pairs.pivot else var < pairs.s
-                return group if one else group << pairs.s
-        return 0
+        one = (1 << pairs.s) - 1
+        two = one << pairs.s
+        if mask >> pairs.pivot & 1:
+            return two if bits >> pairs.pivot & 1 else one
+        return one if bits & one else two if bits & two else 0
 
     def next_query(self, mask: int, bits: int) -> int:
         skip = mask | self._discard(mask, bits)

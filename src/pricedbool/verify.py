@@ -361,12 +361,12 @@ def check_switch_certification(seed: int) -> dict:
         try:
             analysis = lp.SwitchAnalysis(dnf, switches)
             f = analysis.f
-            target = len(switches) + analysis.proofs.size
+            target = len(switches) + analysis.proof_size
             mixed = analysis.mixed_solution()
-            if mixed.status != "feasible" or not mixed.objective <= target:
+            if not mixed.objective <= target:
                 entry.append(f"averaged vector objective {mixed.objective} vs "
                              f"bound {target}")
-            costs, adversary = analysis.adversary(*analysis.certified_switch())
+            *_, costs, adversary = analysis.certified_switch()
             for kind, algorithm in (("greedy", harness.greedy_strategy(costs)),
                                     ("lpa", lp.lp_guided_strategy(f, costs))):
                 forced = harness.adversarial_ratio(algorithm, f, adversary, costs).ratio

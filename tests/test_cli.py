@@ -210,6 +210,14 @@ def test_cap_n_zero_is_honoured(capsys):
     assert "n=3 exceeds cap 0" in err
 
 
+@pytest.mark.parametrize("argv", [("lp", "solve", "--f", "majority:3"),
+                                  ("quad", "analyze", "--f", "fstar:2")])
+def test_proof_enumerating_verbs_honour_cap_n(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--cap-n", "0")
+    assert (code, out) == (2, "")
+    assert "exceeds cap 0" in err
+
+
 def test_gen_reads_a_wide_dnf_without_building_its_table(capsys):
     code, out, err = run_cli(capsys, "gen", "--f", "x30 & x1")
     assert (code, out, err) == (0, "x1 & x30\n", "")

@@ -114,6 +114,30 @@ def test_parse_dnf_token_errors():
         parse_dnf("")
 
 
+PARSE_OUTCOMES = {
+    "": "empty DNF",
+    "  ": "empty DNF",
+    "x0 &": "parse error at token 3: expected literal",
+    "x0 x1": "parse error at token 2: expected '&' or '|', found 'x1'",
+    "| x0": "parse error at token 1: expected literal, found '|'",
+    "x0 & & x1": "parse error at token 3: expected literal, found '&'",
+    "x0 | y": "parse error at token 3: expected literal, found 'y'",
+    "!!x0": "parse error at token 1: expected literal, found '!'",
+    "x0 & x0": "n=1: x0",
+}
+
+
+@pytest.mark.parametrize("text", PARSE_OUTCOMES, ids=repr)
+def test_parse_dnf_pins_each_message(text):
+    try:
+        dnf = parse_dnf(text)
+    except ParseError as err:
+        outcome = str(err)
+    else:
+        outcome = f"n={dnf.n}: {dnf.text()}"
+    assert outcome == PARSE_OUTCOMES[text]
+
+
 def test_term_and_literal_text():
     assert Literal(3).text() == "x3"
     assert (~Literal(3)).text() == "!x3"

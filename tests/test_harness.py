@@ -184,7 +184,7 @@ def _flip_last_adversaries():
     family = make_switch_family(1, 2)
     for label, analysis in (("g", SwitchAnalysis(gd, switches)),
                             ("family:1,2", SwitchAnalysis(family.dnf(), family.switch_variables))):
-        yield label, analysis.adversary(*analysis.certified_switch())[1]
+        yield label, analysis.certified_switch()[4]
     for s in (1, 2, 3):
         for charge in ("winners", "survivors"):
             yield f"fstar:{s} {charge}", maxterm_adversary(make_pivot_pairs(s).function(),

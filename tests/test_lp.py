@@ -288,15 +288,12 @@ def test_polarity_hypothesis_is_checked():
 
 def test_branch_proofs_of_the_switch_example():
     gd, switches = switch_example()
-    proofs = SwitchAnalysis(gd, switches).proofs
-    assert proofs.size == 2
-    assert proofs.argmax == ((0,), (1,))
+    assert SwitchAnalysis(gd, switches).proof_size == 2
 
 
 def test_mixed_solution_is_feasible_and_small():
     gd, switches = switch_example()
     mixed = SwitchAnalysis(gd, switches).mixed_solution()
-    assert mixed.status == "feasible"
     assert mixed.values == (F(1, 2), F(1, 2), F(1, 2), F(1, 2), 1)
     assert mixed.objective == 3  # = switches + branch proof size
     rows = build_lp(gd.function()).rows
@@ -305,9 +302,9 @@ def test_mixed_solution_is_feasible_and_small():
 
 def test_certified_switch_oracles():
     gd, switches = switch_example()
-    assert SwitchAnalysis(gd, switches).certified_switch() == ((0,), (0, 1), "minterm")
+    assert SwitchAnalysis(gd, switches).certified_switch()[:3] == ((0,), (0, 1), "minterm")
     fam = make_switch_family(2, 1)
-    assert SwitchAnalysis(fam.dnf(), fam.switch_variables).certified_switch() == \
+    assert SwitchAnalysis(fam.dnf(), fam.switch_variables).certified_switch()[:3] == \
         ((0, 0), (0,), "minterm")
 
 
@@ -315,25 +312,26 @@ def test_switch_adversary_forces_the_target():
     from pricedbool.harness import adversarial_ratio
 
     gd, switches = switch_example()
-    g = gd.function()
-    analysis = SwitchAnalysis(gd, switches)
-    setting, certificate, side = analysis.certified_switch()
-    costs, adversary = analysis.adversary(setting, certificate, side)
-    target = len(frozenset(switches)) + analysis.proofs.size
-    for alg in (greedy_strategy(costs), lp_guided_strategy(g, costs)):
-        rep = adversarial_ratio(alg, g, adversary, costs)
-        assert rep.ratio >= target
-    # and the sweep value meets it from above, certifying equality
-    assert max_restriction_objective(g) == target == 3
+    # the example's dual certifies by a maxterm: setting x4 = 0 leaves
+    # x2 | x3, and the other setting has no maxterm inside {x2, x3}
+    dual = parse_dnf("x4 & x0 | x4 & x1 | !x4 & x2 | !x4 & x3")
+    for dnf, side in ((gd, "minterm"), (dual, "maxterm")):
+        analysis = SwitchAnalysis(dnf, switches)
+        g = analysis.f
+        _, _, certified_side, costs, adversary = analysis.certified_switch()
+        assert certified_side == side
+        target = len(switches) + analysis.proof_size
+        for alg in (greedy_strategy(costs), lp_guided_strategy(g, costs)):
+            rep = adversarial_ratio(alg, g, adversary, costs)
+            assert rep.ratio >= target
+        # and the sweep value meets it from above, certifying equality
+        assert max_restriction_objective(g) == target == 3
 
 
-def test_switch_adversary_rejects_a_bad_certificate():
-    gd, switches = switch_example()
-    with pytest.raises(PricedBoolError, match="not a minterm"):
-        SwitchAnalysis(gd, switches).adversary((0,), (2, 3), "minterm")
-    # both settings leave x1, so the other one certifies inside {x1}
-    with pytest.raises(PricedBoolError, match="another setting certifies inside"):
-        SwitchAnalysis(parse_dnf("x0 & x1 | !x0 & x1"), {0}).adversary((0,), (1,))
+def test_certified_switch_refuses_certificates_another_setting_shares():
+    # both settings leave x1, so each certifies inside the other's {x1}
+    with pytest.raises(PricedBoolError, match="no largest certificate qualifies"):
+        SwitchAnalysis(parse_dnf("x0 & x1 | !x0 & x1"), {0}).certified_switch()
 
 
 def test_constant_branches_certify_inside_every_set():
@@ -342,14 +340,10 @@ def test_constant_branches_certify_inside_every_set():
     analysis = SwitchAnalysis(parse_dnf("x0 & x1 | !x0 & x2 & x3 | x0 & !x2"), {0, 2})
     with pytest.raises(PricedBoolError, match="no largest certificate qualifies"):
         analysis.certified_switch()
-    with pytest.raises(PricedBoolError, match="another setting certifies inside"):
-        analysis.adversary((0, 1), (3,), "minterm")
     # switches x0, x1: settings (1, 0) and (0, 1) leave the constant 0, whose
     # empty maxterm spoils every maxterm of the others but no minterm
     analysis = SwitchAnalysis(parse_dnf("x0 & x1 & x2 | !x0 & !x1 & x3"), {0, 1})
-    assert analysis.certified_switch() == ((0, 0), (3,), "minterm")
-    with pytest.raises(PricedBoolError, match="another setting certifies inside"):
-        analysis.adversary((0, 0), (3,), "maxterm")
+    assert analysis.certified_switch()[:3] == ((0, 0), (3,), "minterm")
     with pytest.raises(PricedBoolError, match=r"setting \(1, 0\) leaves a constant function"):
         analysis.mixed_solution()
 
