@@ -38,6 +38,7 @@ from .core import (
     Dnf,
     PricedBoolError,
     _require_cap,
+    _require_table_cap,
     certificates,
     cost_json,
     cost_text,
@@ -122,10 +123,12 @@ def load_function(token: str) -> FunctionSource:
     if token.startswith("fstar:"):
         (s,) = _int_params(token, "fstar", 1)
         pairs = make_pivot_pairs(s)
+        _require_table_cap(pairs.n)
         return FunctionSource(token, pairs.function, dnf=pairs.dnf(), pairs=pairs)
     if token.startswith("family:"):
         k, t = _int_params(token, "family", 2)
         fam = make_switch_family(k, t)
+        _require_table_cap(fam.n)
         return FunctionSource(token, fam.function, dnf=fam.dnf(), family=fam,
                               switches=frozenset(fam.switch_variables))
     if token.startswith("parity:"):

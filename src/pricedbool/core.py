@@ -6,7 +6,9 @@ pin the function value down for some witness), and cheapest-proof
 search.  All of it reads one subcube table per function: f's value on
 each of the 3**n subcubes, or 2 where f is not constant.  A proof is a
 constant subcube that no freed variable keeps constant; those forcing 1
-are the minterms and those forcing 0 the maxterms.
+are the minterms and those forcing 0 the maxterms.  A restriction is a
+view of f's tables: one index slices its truth table out of f's, and
+its subcube table too once f's is built.
 
 Conventions used throughout the package:
 
@@ -26,7 +28,6 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 import numpy as np
@@ -111,10 +112,6 @@ class PartialAssignment:
     @property
     def is_full(self) -> bool:
         return self.mask == (1 << self.n) - 1
-
-    @property
-    def is_empty(self) -> bool:
-        return self.mask == 0
 
     def value(self, var: int) -> Optional[int]:
         if self.mask >> var & 1:
@@ -361,11 +358,6 @@ class BooleanFunction:
         self._key = (bits, arr.tobytes())
         self._subcubes = None
 
-    @classmethod
-    def constant(cls, n: int, value: int) -> "BooleanFunction":
-        _require_table_cap(n)
-        return cls(np.full(1 << n, bool(value)))
-
     def __eq__(self, other):
         return isinstance(other, BooleanFunction) and self._key == other._key
 
@@ -386,35 +378,28 @@ class BooleanFunction:
         return int(self.table[assignment.bits])
 
     def is_constant(self) -> Optional[int]:
-        if self.table.all():
-            return 1
-        if not self.table.any():
-            return 0
-        return None
+        return _constant(self.table)
 
     def is_determined(self, assignment: PartialAssignment) -> Optional[int]:
         """The forced value of f under the partial assignment, or None."""
         if assignment.n != self.n:
             raise ValueError("assignment is over a different variable count")
-        if assignment.is_full:
-            return int(self.table[assignment.bits])
-        sub = self.table[assignment.bits + _free_offsets(self.n, assignment.mask)]
-        first = bool(sub[0])
-        if ((sub == first).all()):
-            return int(first)
-        return None
+        return _constant(self.table.reshape((2,) * self.n)[_subcube_index(assignment)])
 
     def restrict(self, assignment: PartialAssignment) -> Restriction:
         """The function induced on the unbound variables, with the index map back."""
         if assignment.n != self.n:
             raise ValueError("assignment is over a different variable count")
-        if assignment.is_empty:
-            raise ValueError("empty restriction: binding nothing changes nothing")
-        if assignment.is_full:
-            raise ValueError("full restriction: use evaluate")
-        table = self.table[assignment.bits + _free_offsets(self.n, assignment.mask)]
         kept = tuple(v for v in range(self.n) if not assignment.mask >> v & 1)
-        return Restriction(BooleanFunction(table), kept)
+        return Restriction(self._subcube(_subcube_index(assignment)), kept)
+
+    def _subcube(self, index: tuple) -> "BooleanFunction":
+        """f on the subcube ``index`` picks out of its tables; the subcube
+        table, if f's is built, is a view of it and is never folded."""
+        sub = BooleanFunction(self.table.reshape((2,) * self.n)[index])
+        if self._subcubes is not None:
+            sub._subcubes = self._subcubes[index]
+        return sub
 
     def subcube_table(self) -> np.ndarray:
         """f's value on every subcube (see `_build_subcubes`), built once."""
@@ -431,15 +416,26 @@ class BooleanFunction:
         return True
 
 
-@lru_cache(maxsize=256)
-def _free_offsets(n: int, bound_mask: int) -> np.ndarray:
-    """Flat table offsets of the subcube where the bound variables are zero."""
-    free = [v for v in range(n) if not bound_mask >> v & 1]
-    r = np.arange(1 << len(free), dtype=np.int64)
-    idx = np.zeros_like(r)
-    for t, pos in enumerate(free):
-        idx |= ((r >> t) & 1) << pos
-    return idx
+def _constant(table: np.ndarray) -> Optional[int]:
+    if table.all():
+        return 1
+    if not table.any():
+        return 0
+    return None
+
+
+_DIGIT = (0, 1, slice(None))  # subcube digits 0 and 1 bind an axis, 2 keeps it whole
+
+
+def _subcube_index(assignment: PartialAssignment) -> tuple:
+    """The assignment's subcube in a table shaped (2,)*n or (3,)*n.
+
+    Axis k is variable n-1-k, as in `_build_subcubes`; the trailing
+    ``...`` keeps a full assignment's subcube a 0-d array.
+    """
+    mask, bits = assignment.mask, assignment.bits
+    return tuple(_DIGIT[bits >> v & 1 if mask >> v & 1 else 2]
+                 for v in reversed(range(assignment.n))) + (...,)
 
 
 def _mask_vars(mask: int) -> list[int]:
@@ -690,9 +686,7 @@ def table_to_text(f: BooleanFunction) -> str:
 
     Bit b of the hex integer is the table entry at assignment index b.
     """
-    value = 0
-    for b in np.flatnonzero(f.table):
-        value |= 1 << int(b)
+    value = int.from_bytes(np.packbits(f.table, bitorder="little").tobytes(), "little")
     width = max(1, (1 << f.n) + 3 >> 2)
     return f"{f.n}\n{value:0{width}x}\n"
 
@@ -713,8 +707,8 @@ def parse_table_text(text: str) -> BooleanFunction:
         raise ParseError("table bits are not hex") from None
     if value >> (1 << n):
         raise ParseError(f"table has more than 2**{n} bits")
-    table = [(value >> b) & 1 for b in range(1 << n)]
-    return BooleanFunction(table)
+    packed = np.frombuffer(value.to_bytes((1 << n) + 7 >> 3, "little"), dtype=np.uint8)
+    return BooleanFunction(np.unpackbits(packed, count=1 << n, bitorder="little"))
 
 
 def looks_like_table_text(text: str) -> bool:

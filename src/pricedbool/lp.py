@@ -26,6 +26,7 @@ from .core import (
     Literal,
     PartialAssignment,
     PricedBoolError,
+    _DIGIT,
     _mask_vars,
     _require_cap,
     certificates,
@@ -217,22 +218,6 @@ def lp_objective(f: BooleanFunction) -> Fraction:
     return hit
 
 
-_CUT = (0, 1, slice(0, 2))  # in a truth table, a free digit keeps both values
-_WHOLE = (0, 1, slice(None))  # in a subcube table, all three digits
-
-
-def _subfunction(table: np.ndarray, digits) -> BooleanFunction:
-    """The restriction of f to one subcube of f's subcube table ``table``.
-
-    ``digits`` holds one digit per axis (axis k is variable n-1-k): 0 or 1
-    binds, 2 leaves free.  The restriction's own subcube table is a
-    read-only view of f's, so it is never folded.
-    """
-    sub = BooleanFunction(table[tuple(_CUT[d] for d in digits)])
-    sub._subcubes = table[tuple(_WHOLE[d] for d in digits)]
-    return sub
-
-
 def max_restriction_objective(f: BooleanFunction, cap: int = SEARCH_CAP) -> Fraction:
     """The covering optimum maximized over every restriction of f.
 
@@ -246,7 +231,7 @@ def max_restriction_objective(f: BooleanFunction, cap: int = SEARCH_CAP) -> Frac
     best = ZERO
     seen = set()
     for digits in np.argwhere(table == 2).tolist():
-        sub = _subfunction(table, digits)
+        sub = f._subcube(tuple(_DIGIT[d] for d in digits))
         key = _canonical_key(sub)
         if key in seen:
             continue
@@ -309,16 +294,7 @@ class LpGuidedStrategy:
             at_bits |= bits & 1 << var
 
     def _charge(self, mask: int, bits: int, residuals: tuple) -> tuple:
-        f = self.f
-        kept = tuple(v for v in range(f.n) if not mask >> v & 1)
-        if mask == 0:
-            g = f
-        elif f.n > PROOF_ENUM_CAP:
-            # f has no subcube table; the restriction folds its own if solved
-            g = f.restrict(PartialAssignment(f.n, mask, bits)).function
-        else:
-            g = _subfunction(f.subcube_table(), [bits >> v & 1 if mask >> v & 1 else 2
-                                                 for v in reversed(range(f.n))])
+        g, kept = self.f.restrict(PartialAssignment(self.f.n, mask, bits))
         if not kept or g.is_constant() is not None:
             raise ContractViolation("contract violation: no variable left to read")
         for v in kept:
@@ -461,10 +437,7 @@ class SwitchAnalysis:
         for code in range(1 << len(self._switches)):
             setting = tuple(code >> s & 1 for s in range(len(self._switches)))
             assignment = PartialAssignment.of(f.n, dict(zip(self._switches, setting)))
-            if assignment.is_full:
-                g, kept = BooleanFunction.constant(0, f.evaluate(assignment)), ()
-            else:
-                g, kept = f.restrict(assignment)
+            g, kept = f.restrict(assignment)
             flip_mask = sum(1 << j for j, v in enumerate(kept) if self._flips.get(v, False))
             normalized = BooleanFunction(g.table[np.arange(g.table.size) ^ flip_mask])
             if g.n and not normalized.is_monotone():

@@ -393,7 +393,7 @@ SUITES = {
     "lemma2": (check_switch_certification,),
 }
 
-SUITE_NAMES = ("symmetric", "quadratic", "lp", "lemma2", "all")
+SUITE_NAMES = (*SUITES, "all")
 
 
 def run_suite(name: str, seed: int = 0) -> dict:
@@ -405,7 +405,7 @@ def run_suite(name: str, seed: int = 0) -> dict:
     """
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from " + ", ".join(SUITE_NAMES))
-    parts = ("symmetric", "quadratic", "lp", "lemma2") if name == "all" else (name,)
+    parts = tuple(SUITES) if name == "all" else (name,)
     checks = [check(seed) for part in parts for check in SUITES[part]]
     return {
         "suite": name,

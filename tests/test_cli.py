@@ -229,6 +229,15 @@ def test_gen_still_refuses_a_table_past_the_cap(capsys):
     assert err == "error: instance too large: n=30 exceeds table cap 24\n"
 
 
+@pytest.mark.parametrize("argv, n", [(("gen", "--f", "fstar:100000000"), 200000001),
+                                     (("analyze", "--f", "family:22,1"), 4194326)])
+def test_generator_parameters_meet_the_table_cap_before_the_dnf(capsys, argv, n):
+    # the DNF alone would hold 10**8 terms, or 2**22 terms of 23 literals
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: instance too large: n={n} exceeds table cap 24\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("lp", "lpa", "--f", "g", "--alg", "greedy"),
     ("analyze", "--f", "parity:3", "--cost", "nonsense"),

@@ -71,6 +71,66 @@ def test_restrict_keeps_original_indices():
     assert h.table.tolist() == [False] * 12 + [True] * 4  # x2 & x3
 
 
+def test_restrict_and_is_determined_match_a_loop_over_completions():
+    # past the proof cap f has no subcube table, so only the truth table is sliced
+    rng = random.Random(41)
+    for n in (PROOF_ENUM_CAP + 1, PROOF_ENUM_CAP + 2):
+        f = BooleanFunction(np.random.default_rng(n).random(1 << n) < 0.9)
+        for _ in range(6):
+            values = {v: rng.randint(0, 1) for v in rng.sample(range(n), rng.randint(1, n))}
+            part = PartialAssignment.of(n, values)
+            g, kept = f.restrict(part)
+            assert kept == tuple(v for v in range(n) if v not in values)
+            completions = [i for i in range(1 << n)
+                           if all(i >> v & 1 == b for v, b in values.items())]
+            assert g.table.tolist() == f.table[completions].tolist()
+            seen = {int(f.table[i]) for i in completions}
+            forced = seen.pop() if len(seen) == 1 else None
+            assert f.is_determined(part) == forced == g.is_constant()
+        assert f._subcubes is None
+
+
+def test_restrict_to_nothing_and_to_everything():
+    f = MAJ3
+    f.subcube_table()
+    whole, kept = f.restrict(PartialAssignment(3))
+    assert whole == f and kept == (0, 1, 2)
+    assert whole.subcube_table().tolist() == f.subcube_table().tolist()
+    for index in range(8):
+        point, kept = f.restrict(PartialAssignment.full_from_index(3, index))
+        assert kept == () and point.n == 0
+        assert point.table.tolist() == [f.table[index]]
+        assert point.subcube_table().shape == () and point.subcube_table() == f.table[index]
+
+
+def _count_folds(monkeypatch):
+    """The n of every subcube table built from here on."""
+    from pricedbool import core
+
+    calls = []
+    original = core._build_subcubes
+
+    def counted(f):
+        calls.append(f.n)
+        return original(f)
+
+    monkeypatch.setattr(core, "_build_subcubes", counted)
+    return calls
+
+
+def test_restrict_folds_no_subcube_table(monkeypatch):
+    calls = _count_folds(monkeypatch)
+    f = parse_dnf("x0 & x1 | x2 & !x3 | x4").function()
+    g, _ = f.restrict(PartialAssignment.of(5, {3: 0}))
+    assert g._subcubes is None and f._subcubes is None
+    g.subcube_table()  # built on demand from g's own table
+    assert calls == [4]
+    f.subcube_table()
+    h, _ = f.restrict(PartialAssignment.of(5, {3: 0}))
+    assert h.subcube_table().tolist() == g.subcube_table().tolist()
+    assert calls == [4, 5]
+
+
 def test_constant_detection():
     assert BooleanFunction([0, 0, 0, 0]).is_constant() == 0
     assert BooleanFunction([1, 1]).is_constant() == 1
@@ -154,8 +214,9 @@ def test_contradictory_term_rejected():
 
 def test_table_text_round_trip():
     rng = random.Random(5)
-    constants = [BooleanFunction.constant(0, value) for value in (0, 1)]
-    for f in constants + [random_function(rng, rng.randint(1, 6)) for _ in range(25)]:
+    constants = [BooleanFunction([value]) for value in (0, 1)]
+    wide = BooleanFunction(np.random.default_rng(5).random(1 << 20) < 0.5)  # a per-bit loop crawls here
+    for f in constants + [random_function(rng, rng.randint(1, 6)) for _ in range(25)] + [wide]:
         text = table_to_text(f)
         assert looks_like_table_text(text)
         assert parse_table_text(text) == f
@@ -239,7 +300,7 @@ def test_caps_are_enforced():
         max_proof_size(parity(n))
     # 2**40 entries would not fit in memory: the cap is checked before allocating
     with pytest.raises(CapExceeded, match="n=40 exceeds table cap 24"):
-        BooleanFunction.constant(40, 0)
+        parity(40)
 
 
 def _forced(f, values):
@@ -290,16 +351,9 @@ def test_certificates_match_a_brute_force_oracle():
 
 
 def test_analyze_builds_one_subcube_table(monkeypatch, capsys):
-    from pricedbool import cli, core
+    from pricedbool import cli
 
-    calls = []
-    original = core._build_subcubes
-
-    def counted(f):
-        calls.append(f.n)
-        return original(f)
-
-    monkeypatch.setattr(core, "_build_subcubes", counted)
+    calls = _count_folds(monkeypatch)
     assert cli.main(["analyze", "--f", "x0 & x1 | x2 & !x3 | x4"]) == 0
     assert "proofs: " in capsys.readouterr().out
     assert calls == [5]
