@@ -276,13 +276,14 @@ class Dnf:
 
     def function(self) -> "BooleanFunction":
         _require_table_cap(self.n)
-        idx = np.arange(1 << self.n, dtype=np.int64)
-        table = np.zeros(1 << self.n, dtype=bool)
+        table = np.zeros((2,) * self.n, dtype=bool)
         for term in self.terms:
-            hit = np.ones(1 << self.n, dtype=bool)
+            # a term is true on exactly one subcube: its literals bound true
+            mask = bits = 0
             for lit in term:
-                hit &= ((idx >> lit.variable) & 1) == lit.value_when_true
-            table |= hit
+                mask |= 1 << lit.variable
+                bits |= lit.value_when_true << lit.variable
+            table[_subcube_index(PartialAssignment(self.n, mask, bits))] = True
         return BooleanFunction(table)
 
     def variables(self) -> frozenset[int]:
@@ -292,7 +293,9 @@ class Dnf:
         return " | ".join(term_text(t) for t in self.terms)
 
 
-_TOKEN = re.compile(r"\s*(!?x\d+|[|&]|\S)")
+# ASCII digits only: int() would also read other scripts' decimal digits
+_TOKEN = re.compile(r"\s*(!?x[0-9]+|[|&]|\S)")
+_LITERAL = re.compile(r"(!?)x([0-9]+)")
 
 
 def parse_dnf(text: str, n: int | None = None) -> Dnf:
@@ -309,7 +312,7 @@ def parse_dnf(text: str, n: int | None = None) -> Dnf:
     # literals take the odd token numbers, operators the even ones
     for i, tok in enumerate(tokens, start=1):
         if i % 2:
-            m = re.fullmatch(r"(!?)x(\d+)", tok)
+            m = _LITERAL.fullmatch(tok)
             if m is None:
                 raise ParseError(f"expected literal, found {tok!r}", token=i)
             current.append(Literal(int(m.group(2)), negated=bool(m.group(1))))
@@ -449,14 +452,24 @@ def _build_subcubes(f: BooleanFunction) -> np.ndarray:
     in ``f.table.reshape((2,)*n)``; digits 0 and 1 bind the variable to
     that value and digit 2 leaves it free.  Each fold appends the free
     digit of one variable: the two bound halves where they agree, else 2.
+
+    A fold along variable v works in runs of 3**v contiguous cells, once
+    the variables below it have their three digits.  So the growing folds
+    here go lowest variable first, and the folds that shrink a table
+    (`_cheapest_proof_totals`, `minimal_witness_domains`) highest first:
+    either way the passes over the most cells run along the longest runs.
     """
     _require_cap(f.n, PROOF_ENUM_CAP, "the subcube table")
-    t = f.table.astype(np.uint8)
+    # fold the set of values f takes on each subcube, value b as bit b:
+    # a freed digit's set is the union of its halves', and 1, 2, 3 (only
+    # 0, only 1, both) less one is the table's entry
+    t = f.table.astype(np.uint8) + 1
     for v in range(f.n):
-        # variables below v already have three digits, so v's stride is 3**v
-        t = t.reshape(-1, 2, 3 ** v)
-        lo, hi = t[:, :1], t[:, 1:]
-        t = np.concatenate([t, np.where(lo == hi, lo, 2)], axis=1)
+        bound = t.reshape(-1, 2, 3 ** v)
+        t = np.empty((len(bound), 3, 3 ** v), dtype=np.uint8)
+        t[:, :2] = bound
+        np.bitwise_or(bound[:, 0], bound[:, 1], out=t[:, 2])
+    t -= 1
     t = t.reshape((3,) * f.n)
     t.setflags(write=False)
     return t
@@ -468,14 +481,24 @@ def _sweep_minimal(f: BooleanFunction) -> list[tuple[int, int, int]]:
     A subcube is a proof when f is constant on it and freeing any one of
     its bound variables loses that; a freed subcube is wider, so it can
     only force the same value.
+
+    The pass along variable v works in runs of 3**v contiguous cells,
+    which are short for the low variables.  So the low half of them,
+    h = n // 2, runs on the transpose of the table as a (3**(n-h), 3**h)
+    matrix, where v's runs are 3**(v+n-h) long; index j there is the
+    cell (j % 3**(n-h)) * 3**h + j // 3**(n-h).
     """
-    n = f.n
+    n, h = f.n, f.n // 2
     table = f.subcube_table().reshape(-1)
     const = table != 2
     minimal = const.copy()
-    for v in range(n):
-        minimal.reshape(-1, 3, 3 ** v)[:, :2] &= ~const.reshape(-1, 3, 3 ** v)[:, 2:]
-    index = np.flatnonzero(minimal)
+    for v in range(h, n):
+        _clear_widened(minimal, const, 3 ** v)
+    const, minimal = (a.reshape(-1, 3 ** h).T.copy().reshape(-1) for a in (const, minimal))
+    for v in range(h):
+        _clear_widened(minimal, const, 3 ** (v + n - h))
+    rotated = np.flatnonzero(minimal)
+    index = rotated % 3 ** (n - h) * 3 ** h + rotated // 3 ** (n - h)
     mask = np.zeros_like(index)
     bits = np.zeros_like(index)
     for v in range(n):
@@ -484,6 +507,15 @@ def _sweep_minimal(f: BooleanFunction) -> list[tuple[int, int, int]]:
         bits |= (digit == 1).astype(np.int64) << v
     proofs = zip(mask.tolist(), bits.tolist(), table[index].tolist())
     return sorted(proofs, key=lambda p: (p[0].bit_count(), p[0], p[1]))
+
+
+def _clear_widened(minimal: np.ndarray, const: np.ndarray, stride: int) -> None:
+    """Unmark the cells that bind the digit at ``stride`` (to 0 or 1)
+    while the cell that frees it (digit 2) is constant too."""
+    free_varies = ~const.reshape(-1, 3, stride)[:, 2]
+    cells = minimal.reshape(-1, 3, stride)
+    cells[:, 0] &= free_varies
+    cells[:, 1] &= free_varies
 
 
 # ---------------------------------------------------------------------------
@@ -522,8 +554,8 @@ def minimal_witness_domains(f: BooleanFunction) -> tuple[int, ...]:
     # fold each variable's digits to (free, bound): ok[mask] says some
     # subcube with exactly the variables in mask bound is constant
     ok = f.subcube_table() != 2
-    for v in range(n):
-        d = ok.reshape(-1, 3, 2 ** v)
+    for v in reversed(range(n)):
+        d = ok.reshape(-1, 3, 3 ** v)
         ok = np.stack([d[:, 2], d[:, 0] | d[:, 1]], axis=1)
     ok = ok.reshape(-1)
     minimal = ok.copy()
@@ -628,14 +660,17 @@ def _cheapest_proof_totals(f: BooleanFunction, costs: list[int]) -> list[int]:
     # spread each bound set's rank over its subcubes: digits 0 and 1 read
     # mask bit 1, the free digit mask bit 0
     for v in range(n):
-        rank = rank.reshape(-1, 2, 3 ** v)[:, [1, 1, 0]]
+        by_bit = rank.reshape(-1, 2, 3 ** v)
+        rank = np.empty((len(by_bit), 3, 3 ** v), dtype=np.int32)
+        rank[:, 0] = rank[:, 1] = by_bit[:, 1]
+        rank[:, 2] = by_bit[:, 0]
     rank = np.where(table != 2, rank.reshape(-1), 1 << n)
-    # push the least rank down every free digit onto the bound ones
-    for v in range(n):
+    # push the least rank down every free digit onto the bound ones,
+    # dropping the free digit: what is left is indexed by assignment
+    for v in reversed(range(n)):
         r = rank.reshape(-1, 3, 3 ** v)
-        np.minimum(r[:, :2], r[:, 2:], out=r[:, :2])
-    full = rank.reshape((3,) * n)[(slice(0, 2),) * n].reshape(-1)
-    return [total[order[r]] for r in full.tolist()]
+        rank = np.minimum(r[:, :2], r[:, 2:])
+    return [total[order[r]] for r in rank.reshape(-1).tolist()]
 
 
 def cheapest_proof_costs(f: BooleanFunction, costs: CostVector) -> list[Fraction]:
@@ -695,16 +730,15 @@ def parse_table_text(text: str) -> BooleanFunction:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if len(lines) != 2:
         raise ParseError("truth-table input needs two lines: n, then hex bits")
-    try:
-        n = int(lines[0])
-    except ValueError:
-        raise ParseError(f"bad variable count: {lines[0]!r}") from None
+    # int() would also take signs, "_", "0x" and other scripts' digits
+    if not re.fullmatch("[0-9]+", lines[0]):
+        raise ParseError(f"bad variable count: {lines[0]!r}")
+    n = int(lines[0])
     if not 0 <= n <= TABLE_CAP:
         raise ParseError(f"variable count {n} out of range 0..{TABLE_CAP}")
-    try:
-        value = int(lines[1], 16)
-    except ValueError:
-        raise ParseError("table bits are not hex") from None
+    if not re.fullmatch("[0-9a-fA-F]+", lines[1]):
+        raise ParseError("table bits are not hex")
+    value = int(lines[1], 16)
     if value >> (1 << n):
         raise ParseError(f"table has more than 2**{n} bits")
     packed = np.frombuffer(value.to_bytes((1 << n) + 7 >> 3, "little"), dtype=np.uint8)

@@ -152,6 +152,25 @@ def test_gen_output_feeds_back_in(capsys, tmp_path):
         assert out2.splitlines()[:2] == report, (source, out2)
 
 
+@pytest.mark.parametrize("text", ["3\n0x_f\n", "3\n-0\n", "3\n+f\n", "3\nf_f\n", "1\n0X1\n",
+                                  "\u0662\nf\n", "2\n\u0661\n"], ids=repr)
+def test_table_files_take_plain_ascii_digits_only(capsys, tmp_path, text):
+    # int() reads all of these: signs, "_", "0x" and Arabic-Indic digits
+    path = tmp_path / "f.txt"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "gen", "--f", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and ("bad variable count" in err or "not hex" in err)
+
+
+@pytest.mark.parametrize("argv", [("analyze", "--f", "x\u0663 & x1 | x0"),
+                                  ("gen", "--f", "x\uff11 | x0")], ids=repr)
+def test_dnf_variable_indices_take_ascii_digits_only(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "expected literal" in err
+
+
 def test_gen_dnf_generators_print_dnf(capsys):
     code, out, _ = run_cli(capsys, "gen", "--f", "g")
     assert code == 0

@@ -453,6 +453,136 @@ def test_cheapest_proof_matches_the_subset_scan():
     assert len(functions) == 240 + 40
 
 
+# --- the subcube folds at the benchmark's sizes ------------------------------
+# Each _loop_* is the fold as it ran before the passes were reordered, one
+# variable at a time from the lowest, at stride 3**v; the reordered folds
+# must give the same bytes.
+
+
+def _loop_subcubes(f):
+    t = f.table.astype(np.uint8)
+    for v in range(f.n):
+        t = t.reshape(-1, 2, 3 ** v)
+        lo, hi = t[:, :1], t[:, 1:]
+        t = np.concatenate([t, np.where(lo == hi, lo, 2)], axis=1)
+    return t.reshape((3,) * f.n)
+
+
+def _loop_sweep_minimal(f):
+    n = f.n
+    table = _loop_subcubes(f).reshape(-1)
+    const = table != 2
+    minimal = const.copy()
+    for v in range(n):
+        minimal.reshape(-1, 3, 3 ** v)[:, :2] &= ~const.reshape(-1, 3, 3 ** v)[:, 2:]
+    index = np.flatnonzero(minimal)
+    mask = np.zeros_like(index)
+    bits = np.zeros_like(index)
+    for v in range(n):
+        digit = index // 3 ** v % 3
+        mask |= (digit != 2).astype(np.int64) << v
+        bits |= (digit == 1).astype(np.int64) << v
+    proofs = zip(mask.tolist(), bits.tolist(), table[index].tolist())
+    return sorted(proofs, key=lambda p: (p[0].bit_count(), p[0], p[1]))
+
+
+def _loop_witness_domains(f):
+    ok = _loop_subcubes(f) != 2
+    for v in range(f.n):
+        d = ok.reshape(-1, 3, 2 ** v)
+        ok = np.stack([d[:, 2], d[:, 0] | d[:, 1]], axis=1)
+    ok = ok.reshape(-1)
+    minimal = ok.copy()
+    for v in range(f.n):
+        minimal.reshape(-1, 2, 2 ** v)[:, 1] &= ~ok.reshape(-1, 2, 2 ** v)[:, 0]
+    return tuple(sorted(np.flatnonzero(minimal).tolist(), key=lambda m: (m.bit_count(), m)))
+
+
+def _loop_cheapest_proof_totals(f, costs):
+    n = f.n
+    table = _loop_subcubes(f).reshape(-1)
+    total = [sum(costs[v] for v in range(n) if mask >> v & 1) for mask in range(1 << n)]
+    order = sorted(range(len(total)), key=total.__getitem__)
+    rank = np.empty(1 << n, dtype=np.int32)
+    rank[order] = np.arange(1 << n)
+    for v in range(n):
+        rank = rank.reshape(-1, 2, 3 ** v)[:, [1, 1, 0]]
+    rank = np.where(table != 2, rank.reshape(-1), 1 << n)
+    for v in range(n):
+        r = rank.reshape(-1, 3, 3 ** v)
+        np.minimum(r[:, :2], r[:, 2:], out=r[:, :2])
+    full = rank.reshape((3,) * n)[(slice(0, 2),) * n].reshape(-1)
+    return [total[order[r]] for r in full.tolist()]
+
+
+def _benchmark_sized_battery():
+    """Random tables, monotone DNFs drawn as the certificates workload
+    draws them, and symmetric profiles, at n = 7..11; then every function
+    of n <= 1 and some of n = 2, where the low half has 0 or 1 variables."""
+    from pricedbool.symmetric import SymmetricProfile
+
+    rng = random.Random(41)
+    for n in range(7, 12):
+        yield random_function(rng, n)
+        for _ in range(2):
+            terms = [rng.sample(range(n), rng.randint(2, 5)) for _ in range(rng.randint(6, 14))]
+            yield Dnf(n, tuple(frozenset(map(Literal, t)) for t in terms)).function()
+        bits = [1, 0] + [rng.randint(0, 1) for _ in range(n - 1)]
+        rng.shuffle(bits)
+        yield SymmetricProfile(tuple(bits)).function()
+    yield from (BooleanFunction([value]) for value in (0, 1))
+    yield from (BooleanFunction([a, b]) for a in (0, 1) for b in (0, 1))
+    yield from (random_function(rng, 2, nonconstant=False) for _ in range(6))
+
+
+def test_subcube_folds_match_the_stride_loops_at_benchmark_sizes():
+    from pricedbool.core import _cheapest_proof_totals, _scaled_costs, _sweep_minimal
+
+    rng = random.Random(43)
+    sizes = []
+    for f in _benchmark_sized_battery():
+        assert np.array_equal(f.subcube_table(), _loop_subcubes(f)), f
+        proofs = _loop_sweep_minimal(f)
+        assert _sweep_minimal(f) == proofs, f
+        assert minimal_witness_domains(f) == _loop_witness_domains(f), f
+        if f.is_constant() is None:
+            by_value = ([], [])
+            for mask, bits, value in proofs:
+                by_value[value].append(frozenset(
+                    Literal(v, negated=(bits >> v & 1) != value)
+                    for v in range(f.n) if mask >> v & 1))
+            assert certificates(f) == (tuple(by_value[1]), tuple(by_value[0])), f
+            masks = dict.fromkeys(mask for mask, _, _ in proofs)
+            assert proof_variable_sets(f) == tuple(
+                frozenset(v for v in range(f.n) if m >> v & 1) for m in masks), f
+            assert max_proof_size(f) == max(mask.bit_count() for mask in masks), f
+        huge = CostVector.of(Fraction(10 ** 30 + rng.randint(0, 9), rng.choice((7, 11, 97)))
+                             for _ in range(f.n))
+        for costs in (unit_costs(f.n), random_cost_vector(f.n, rng), huge):
+            scaled = _scaled_costs(costs)[0]
+            assert _cheapest_proof_totals(f, scaled) == _loop_cheapest_proof_totals(f, scaled), \
+                (f, costs)
+        sizes.append(f.n)
+    assert sizes.count(7) == sizes.count(11) == 4 and sizes.count(2) == 6
+
+
+def test_dnf_tables_match_literal_by_literal_evaluation():
+    rng = random.Random(47)
+    dnfs = [parse_dnf("x0 & !x1 | x0 & !x1 | !x2", n=3),  # a repeated term
+            parse_dnf("x2 & !x0 & x1 & !x3 | !x1 & x3"),    # a term binding every variable
+            parse_dnf("!x0 & !x1 & !x2 & !x3 & !x4 & !x5 & !x6 & !x7 & !x8")]
+    for n in (1, 4, 7, 10):
+        for _ in range(5):
+            terms = [frozenset(Literal(v, negated=rng.random() < 0.5)
+                               for v in rng.sample(range(n), rng.randint(1, n)))
+                     for _ in range(rng.randint(1, 8))]
+            dnfs.append(Dnf(n, tuple(terms + terms[:1])))
+    for dnf in dnfs:
+        expected = [any(all(i >> lit.variable & 1 == lit.value_when_true for lit in term)
+                        for term in dnf.terms) for i in range(1 << dnf.n)]
+        assert dnf.function().table.tolist() == expected, dnf.text()
+
+
 def test_cheapest_proof_needs_no_subcube_table():
     # an adversary's final assignment may come from a function past the
     # proof-enumeration cap; the proof search reads 2**n entries, not 3**n
