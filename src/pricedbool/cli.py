@@ -23,6 +23,7 @@ import argparse
 import json
 import os
 import random
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -109,7 +110,7 @@ class FunctionSource:
 def _int_params(token: str, name: str, count: int) -> list[int]:
     raw = token[len(name) + 1:]
     parts = raw.split(",")
-    if len(parts) != count or not all(p.lstrip("-").isdigit() for p in parts):
+    if len(parts) != count or not all(re.fullmatch("-?[0-9]+", p) for p in parts):
         plural = "," .join(["<int>"] * count)
         raise PricedBoolError(f"generator {name} needs {name}:{plural}, got {token!r}")
     return [int(p) for p in parts]
@@ -162,8 +163,8 @@ def load_costs(token: Optional[str], src: FunctionSource, seed: int) -> tuple[Co
         if profile is None:
             raise PricedBoolError("extremal costs are defined for symmetric functions only")
         return extremal_cost_vector(profile), "extremal"
-    if token == "random" or token.startswith("random:"):
-        used = seed if token == "random" else int(token.split(":", 1)[1])
+    if token == "random" or re.fullmatch("random:[0-9]+", token):
+        used = seed if token == "random" else int(token[len("random:"):])
         return random_cost_vector(n, random.Random(used)), f"random:{used}"
     if os.path.isfile(token):
         with open(token) as fh:

@@ -10,6 +10,7 @@ switch constructions below force matching lower bounds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -29,12 +30,13 @@ from .core import (
     _DIGIT,
     _mask_vars,
     _require_cap,
+    _scaled_costs,
     certificates,
     literal_set_key,
     minimal_witness_domains,
 )
 from .harness import FlipLastAdversary
-from .simplex import simplex_max
+from .simplex import _scaled, simplex_max
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -84,12 +86,14 @@ def build_lp(f: BooleanFunction) -> ProofLp:
 
 
 def _certify(rows, values, objective) -> None:
-    if any(x < 0 for x in values):
+    # numerators over one common denominator, which is the numerator of 1
+    *nums, total, one = _scaled([*values, objective, ONE])
+    if any(x < 0 for x in nums):
         raise PricedBoolError("covering program certification failed: negative weight")
-    if sum(values) != objective:
+    if sum(nums) != total:
         raise PricedBoolError("covering program certification failed: objective mismatch")
     for row in rows:
-        if sum(values[v] for v in row) < 1:
+        if sum(nums[v] for v in row) < one:
             raise PricedBoolError("covering program certification failed: uncovered row")
 
 
@@ -222,16 +226,23 @@ def max_restriction_objective(f: BooleanFunction, cap: int = SEARCH_CAP) -> Frac
     """The covering optimum maximized over every restriction of f.
 
     All partial assignments count, the empty one included; restrictions
-    that collapse to a constant contribute 0.  Restrictions sharing a
-    table (or complementary tables) are solved once, and each reads its
-    subcube table as a view of f's.
+    that collapse to a constant contribute 0.  A restriction with k free
+    variables has optimum at most k, since the all-ones vector covers
+    every row, so the sweep visits restrictions by decreasing free count
+    and stops at the first whose k cannot beat the best so far.
+    Restrictions sharing a table (or complementary tables) are solved
+    once, and each reads its subcube table as a view of f's.
     """
     _require_cap(f.n, cap, "the restriction sweep")
     table = f.subcube_table()
     best = ZERO
     seen = set()
-    for digits in np.argwhere(table == 2).tolist():
-        sub = f._subcube(tuple(_DIGIT[d] for d in digits))
+    digits = np.argwhere(table == 2)
+    free = (digits == 2).sum(axis=1)
+    for i in np.argsort(-free, kind="stable").tolist():
+        if free[i] <= best:
+            break
+        sub = f._subcube(tuple(_DIGIT[d] for d in digits[i].tolist()))
         key = _canonical_key(sub)
         if key in seen:
             continue
@@ -260,15 +271,22 @@ class LpGuidedStrategy:
     its unread part always covers some row.  Ranking by raw ratios
     forgets the charges between steps and can be lured past the sweep
     value by a chain of fresh cheap variables.
+
+    The arithmetic is on integers.  Residuals r start as the costs over
+    their common denominator and the weights w are the solution's
+    numerators over theirs; only r up to a positive factor matters.  The
+    read variable u is the first minimizing r_v/w_v (a cross-multiply),
+    and the charged residuals r_v*w_u - r_u*w_v are r - (r_u/w_u)*w
+    times w_u, then divided by their gcd.
     """
 
-    __slots__ = ("f", "costs", "_states")
+    __slots__ = ("f", "_costs", "_states")
 
     def __init__(self, f: BooleanFunction, costs: CostVector):
         if costs.n != f.n:
             raise ValueError("cost vector size does not match the function")
         self.f = f
-        self.costs = costs
+        self._costs = tuple(_scaled_costs(costs)[0])
         # (mask, bits) of each state its own reads reach ->
         # (variable read there, residuals after its charge)
         self._states: dict = {}
@@ -279,7 +297,7 @@ class LpGuidedStrategy:
             return entry[0]
         # charge forward from the root along the reader's own reads
         at_mask = at_bits = 0
-        residuals = self.costs.values
+        residuals = self._costs
         while True:
             entry = self._states.get((at_mask, at_bits))
             if entry is None:
@@ -300,25 +318,20 @@ class LpGuidedStrategy:
         for v in kept:
             if residuals[v] == 0:
                 return v, residuals
-        sol = lp_solution(g)
-        rate = None
-        for j, v in enumerate(kept):
-            s = sol.values[j]
-            if s > 0:
-                ratio = residuals[v] / s
-                if rate is None or ratio < rate:
-                    rate = ratio
-        if rate is None:
+        w = _scaled(lp_solution(g).values)
+        charged = [(v, w[j]) for j, v in enumerate(kept) if w[j] > 0]
+        if not charged:
             raise ContractViolation("contract violation: the covering solution is empty")
-        after = list(residuals)
-        choice = None
-        for j, v in enumerate(kept):
-            s = sol.values[j]
-            if s > 0:
-                after[v] -= rate * s
-                if after[v] == 0 and choice is None:
-                    choice = v
-        return choice, tuple(after)
+        u, wu = charged[0]
+        for v, wv in charged:
+            if residuals[v] * wu < residuals[u] * wv:
+                u, wu = v, wv
+        # u is the first variable whose residual the charge drives to 0
+        after = [r * wu for r in residuals]
+        for v, wv in charged:
+            after[v] -= residuals[u] * wv
+        common = math.gcd(*after) or 1
+        return u, tuple(r // common for r in after)
 
 
 def lp_guided_strategy(f: BooleanFunction, costs: CostVector) -> LpGuidedStrategy:

@@ -293,6 +293,26 @@ def test_negative_variable_counts_are_named(capsys, token, n):
     assert err == f"error: a function needs n >= 0 variables, got n={n}\n"
 
 
+# an Arabic-Indic three and a fullwidth one: str.isdigit() and int() take both
+@pytest.mark.parametrize("token", ["fstar:\u0663", "parity:\uff13", "majority:-\u0663",
+                                   "family:1,\u0662", "family:\uff11,1"])
+def test_generator_parameters_take_ascii_digits_only(capsys, token):
+    code, out, err = run_cli(capsys, "gen", "--f", token)
+    name = token.split(":")[0]
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: generator {name} needs {name}:<int>")
+    assert err.endswith(f"got {token!r}\n")
+
+
+@pytest.mark.parametrize("token", ["random:\u0663", "random:-3", "random:+3", "random:3_0",
+                                   "random:abc", "random:"])
+def test_random_cost_seeds_take_ascii_digits_only(capsys, token):
+    code, out, err = run_cli(capsys, "ratio", "--f", "x0 | x1", "--cost", token)
+    assert (code, out) == (2, "")
+    assert err == (f"error: unknown cost source {token!r}; use unit, extremal, "
+                   "random:<seed>, or a JSON object\n")
+
+
 @pytest.mark.parametrize("argv, verdict", [
     (("--f", "x0 | x1", "--adversary", "winners"),
      "check the winners adversary holds greedy within the formula value: pass (2 <= 2)"),

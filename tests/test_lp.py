@@ -23,11 +23,13 @@ from pricedbool.core import (
     parse_dnf,
     random_cost_vector,
     random_function,
+    table_to_text,
 )
 from pricedbool.harness import competitive_ratio_exhaustive, greedy_strategy
 from pricedbool.lp import (
     ProofLp,
     SwitchAnalysis,
+    _certify,
     build_lp,
     lp_guided_strategy,
     lp_objective,
@@ -138,6 +140,34 @@ def test_lp_solution_bytes_are_pinned():
     assert digest.hexdigest()[:16] == "6b5995b932c845a0"
 
 
+def test_lpa_and_delta_bytes_are_pinned(capsys, tmp_path):
+    # sha256 prefixes recorded before the restriction sweep stopped at the
+    # free-variable bound and the guided reader moved to integer residuals
+    from pricedbool.cli import main
+
+    rng = random.Random(2020)
+    digests = {"lpa": hashlib.sha256(), "delta": hashlib.sha256()}
+    for i, n in enumerate([2, 3, 4, 5, 6] * 20):
+        path = tmp_path / f"t{i}.txt"
+        path.write_text(table_to_text(random_function(rng, n)))
+        extra = {"lpa": ["--cost", f"random:{rng.randrange(1000)}"], "delta": []}
+        for verb, digest in digests.items():
+            code = main(["lp", verb, "--f", str(path), *extra[verb]])
+            digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+    assert {verb: d.hexdigest()[:16] for verb, d in digests.items()} == \
+        {"lpa": "30f25d126a20bcec", "delta": "b4534e3a151f5000"}
+
+
+def test_certify_names_each_broken_condition():
+    rows = build_lp(majority(3)).rows
+    _certify(rows, [F(1, 2)] * 3, F(3, 2))
+    for values, objective, reason in (([F(-1, 2), 1, 1], F(3, 2), "negative weight"),
+                                      ([F(1, 2)] * 3, 2, "objective mismatch"),
+                                      ([F(1, 2), F(1, 2), 0], 1, "uncovered row")):
+        with pytest.raises(PricedBoolError, match=reason):
+            _certify(rows, values, objective)
+
+
 def test_solution_json_shape():
     out = lp_solution(parity(3)).to_json()
     assert out == {"s": {"x0": "1/3", "x1": "1/3", "x2": "1/3"},
@@ -169,6 +199,60 @@ def test_sweep_equals_proof_size_on_monotone_functions():
         if f.is_constant() is not None:
             continue
         assert max_restriction_objective(f) == max_proof_size(f)
+
+
+def _unpruned_sweep(f):
+    """The covering optimum maximized over every restriction, one by one."""
+    best = 0
+    for mask in range(1 << f.n):
+        for bits in range(1 << f.n):
+            if not bits & ~mask:
+                g, _ = f.restrict(PartialAssignment(f.n, mask, bits))
+                if g.is_constant() is None:
+                    best = max(best, lp_objective(g))
+    return best
+
+
+def _sweep_battery():
+    for n in range(1, 4):
+        for index in range(1, (1 << (1 << n)) - 1):
+            yield BooleanFunction([index >> x & 1 for x in range(1 << n)])
+    rng = random.Random(45)
+    for n in (4, 5, 6) * 4:
+        yield random_function(rng, n)
+    yield switch_example()[0].function()
+    yield majority(5)
+    yield make_switch_family(1, 2).function()
+
+
+def test_pruned_sweep_matches_the_unpruned_one():
+    functions = list(_sweep_battery())
+    assert len(functions) == 270 + 12 + 3
+    for f in functions:
+        assert max_restriction_objective(f) == _unpruned_sweep(f), f.table
+
+
+def test_sweep_solves_no_restriction_its_free_count_cannot_lift(monkeypatch):
+    # k free variables bound the optimum by k, so once the best reaches k
+    # no restriction with k or fewer free variables needs its program
+    from pricedbool import lp
+
+    objective = lp.lp_objective
+    solved = []
+
+    def counted(sub):
+        solved.append((sub.n, objective(sub)))
+        return solved[-1][1]
+
+    monkeypatch.setattr(lp, "lp_objective", counted)
+    for f in _sweep_battery():
+        solved.clear()
+        delta = max_restriction_objective(f)
+        best = 0
+        for k, value in solved:
+            assert k > best, (f.table, solved)
+            best = max(best, value)
+        assert best == delta
 
 
 def _random_monotone(rng, n):
@@ -218,6 +302,50 @@ def _guided_reads(f, costs):
             reads[part.mask, part.bits] = var = walked.next_query(part.mask, part.bits)
             stack += [part.bind(var, b) for b in (1, 0)]
     return reads
+
+
+def _fraction_reads(f, costs):
+    """The guided reader's reads by (mask, bits), charged in `Fraction`s."""
+    reads, stack = {}, [(PartialAssignment(f.n), costs.values)]
+    while stack:
+        part, residuals = stack.pop()
+        if f.is_determined(part) is not None:
+            continue
+        g, kept = f.restrict(part)
+        var = next((v for v in kept if residuals[v] == 0), None)
+        if var is None:
+            s = lp_solution(g).values
+            rate = min(residuals[v] / s[j] for j, v in enumerate(kept) if s[j] > 0)
+            after = list(residuals)
+            for j, v in enumerate(kept):
+                if s[j] > 0:
+                    after[v] -= rate * s[j]
+                    if after[v] == 0 and var is None:
+                        var = v
+            residuals = tuple(after)
+        reads[part.mask, part.bits] = var
+        stack += [(part.bind(var, b), residuals) for b in (1, 0)]
+    return reads
+
+
+def test_integer_charges_read_what_fraction_charges_read():
+    rng = random.Random(46)
+    kinds = {
+        "random": lambda n: random_cost_vector(n, rng).values,
+        "tied": lambda n: [F(rng.choice((1, 2)), 3) for _ in range(n)],
+        "zeros": lambda n: [rng.choice((0, 0, 1, F(5, 2))) for _ in range(n)],
+        "huge": lambda n: [F(rng.randint(1, 10**30), rng.randint(1, 10**30)) for _ in range(n)],
+    }
+    nodes = 0
+    for n in (2, 3, 4, 5, 6):
+        for kind, draw in kinds.items():
+            for _ in range(5):
+                f = random_function(rng, n)
+                costs = CostVector.of(draw(n))
+                reads = _guided_reads(f, costs)
+                assert reads == _fraction_reads(f, costs), (kind, f.table, costs)
+                nodes += len(reads)
+    assert nodes > 1200
 
 
 def test_guided_reader_asked_out_of_order_reads_the_same_variables():
