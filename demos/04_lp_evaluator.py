@@ -60,10 +60,10 @@ assert guided <= delta < greedy
 
 # pinning the sweep value from below: a certified switch, returned with
 # the adversary that charges it
-dnf, switches = switch_example()
-analysis = SwitchAnalysis(dnf, switches)
+dnf = switch_example()
+analysis = SwitchAnalysis(dnf)
 g = analysis.f
-k = len(switches)
+k = len(analysis.switches)
 print(f"\n{dnf.text()}  (x4 appears in both polarities)")
 gamma = analysis.proof_size
 print(f"  largest proof over the settings of the switch: {gamma}")

@@ -63,7 +63,6 @@ from .harness import (
 from .lp import (
     FamilySpec,
     SwitchAnalysis,
-    _polarities,
     lp_guided_strategy,
     lp_solution,
     make_switch_family,
@@ -100,11 +99,20 @@ class FunctionSource:
     dnf: Optional[Dnf] = None
     pairs: Optional[PivotPairs] = None
     family: Optional[FamilySpec] = None
-    switches: Optional[frozenset] = None
 
     @cached_property
     def f(self) -> BooleanFunction:
         return self.build()
+
+
+def _ascii_int(pattern: str) -> Callable[[str], int]:
+    """An argparse type: an int spelled as ``pattern`` in ASCII digits, where
+    int() alone also takes other scripts' digits, "_", "+" and spaces."""
+    def parse(text: str) -> int:
+        if not re.fullmatch(pattern, text):
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}; expected {pattern}")
+        return int(text)
+    return parse
 
 
 def _int_params(token: str, name: str, count: int) -> list[int]:
@@ -119,8 +127,8 @@ def _int_params(token: str, name: str, count: int) -> list[int]:
 def load_function(token: str) -> FunctionSource:
     """Resolve --f: generator token, file in either format, or inline DNF."""
     if token == "g":
-        dnf, switches = switch_example()
-        return FunctionSource("g", dnf.function, dnf=dnf, switches=switches)
+        dnf = switch_example()
+        return FunctionSource("g", dnf.function, dnf=dnf)
     if token.startswith("fstar:"):
         (s,) = _int_params(token, "fstar", 1)
         pairs = make_pivot_pairs(s)
@@ -130,8 +138,7 @@ def load_function(token: str) -> FunctionSource:
         k, t = _int_params(token, "family", 2)
         fam = make_switch_family(k, t)
         _require_table_cap(fam.n)
-        return FunctionSource(token, fam.function, dnf=fam.dnf(), family=fam,
-                              switches=frozenset(fam.switch_variables))
+        return FunctionSource(token, fam.function, dnf=fam.dnf(), family=fam)
     if token.startswith("parity:"):
         (n,) = _int_params(token, "parity", 1)
         return FunctionSource(token, partial(parity, n))
@@ -411,15 +418,9 @@ def _lp_switch_report(args, src: FunctionSource) -> int:
     if src.dnf is None:
         raise PricedBoolError("the switch analysis needs a DNF source "
                               "(a generator or DNF text, not a truth table)")
-    dnf, f = src.dnf, src.f
-    switches = src.switches
-    if switches is None:
-        pos, neg = _polarities(dnf)
-        switches = frozenset(pos & neg)
-    if not switches:
-        raise PricedBoolError("no variable appears in both polarities; "
-                              "there is no switch to analyze")
-    analysis = SwitchAnalysis(dnf, switches)
+    f = src.f
+    analysis = SwitchAnalysis(src.dnf)
+    switches = list(analysis.switches)
     gamma = analysis.proof_size
     target = len(switches) + gamma
     mixed = analysis.mixed_solution()
@@ -442,7 +443,7 @@ def _lp_switch_report(args, src: FunctionSource) -> int:
                  delta == target, f"{delta} vs {target}"),
     ]
     results = {
-        "switches": sorted(switches),
+        "switches": switches,
         "branch_proof_size": gamma,
         "target": target,
         "mixed_solution": mixed.to_json(),
@@ -454,7 +455,7 @@ def _lp_switch_report(args, src: FunctionSource) -> int:
         "delta": str(delta),
     }
     lines = [
-        f"switches: {sorted(switches)}  branch proof size: {gamma}  target: {target}",
+        f"switches: {switches}  branch proof size: {gamma}  target: {target}",
         f"averaged vector objective: {mixed.objective}",
         f"certified setting {list(setting)} {side} {list(certificate)}",
         f"forced greedy: {ratio_string(forced['greedy'].ratio)}  "
@@ -517,8 +518,8 @@ def _common_flags(p: argparse.ArgumentParser, cost: bool = False) -> None:
     if cost:
         p.add_argument("--cost", metavar="SOURCE",
                        help="unit (default), extremal, random:<seed>, or a JSON object")
-    p.add_argument("--seed", type=int, default=0, metavar="U64")
-    p.add_argument("--cap-n", dest="cap_n", type=int, metavar="N",
+    p.add_argument("--seed", type=_ascii_int("[0-9]+"), default=0, metavar="U64")
+    p.add_argument("--cap-n", dest="cap_n", type=_ascii_int("[0-9]+"), metavar="N",
                    help="lower the exhaustive-sweep size limit")
     p.add_argument("--json", metavar="PATH", help="also write the JSON report here")
 
@@ -544,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     quad_sub = quad.add_subparsers(dest="quad_command", required=True)
     _common_flags(quad_sub.add_parser("analyze"))
     fstar = quad_sub.add_parser("fstar")
-    fstar.add_argument("--s", type=int, required=True, metavar="S",
+    fstar.add_argument("--s", type=_ascii_int("-?[0-9]+"), required=True, metavar="S",
                        help="group size of the pivot-pairs function")
     fstar.add_argument("--json", metavar="PATH")
 
@@ -552,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run a property suite")
     ver.add_argument("suite", choices=SUITE_NAMES)
-    ver.add_argument("--seed", type=int, default=0, metavar="U64")
+    ver.add_argument("--seed", type=_ascii_int("[0-9]+"), default=0, metavar="U64")
     ver.add_argument("--json", metavar="PATH")
 
     _common_flags(sub.add_parser("gen", help="print a generator's text form"))

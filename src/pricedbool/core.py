@@ -410,14 +410,6 @@ class BooleanFunction:
             self._subcubes = _build_subcubes(self)
         return self._subcubes
 
-    def is_monotone(self) -> bool:
-        idx = np.arange(1 << self.n, dtype=np.int64)
-        for v in range(self.n):
-            low = (idx >> v & 1) == 0
-            if (self.table[idx[low]] > self.table[idx[low] | 1 << v]).any():
-                return False
-        return True
-
 
 def _constant(table: np.ndarray) -> Optional[int]:
     if table.all():

@@ -217,7 +217,7 @@ class FlipLastAdversary:
     """Answers a fixed full assignment ``base``, except that the last unread
     variable of ``tracked``, a mask, answers the opposite.
 
-    ``lp.SwitchAnalysis.adversary`` and ``quadratic.maxterm_adversary``
+    ``lp.SwitchAnalysis.certified_switch`` and ``quadratic.maxterm_adversary``
     choose the two so that f stays open until every tracked variable is
     read, which charges the strategy for all of them.
     """

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 import numpy as np
 
@@ -393,7 +392,7 @@ def make_switch_family(switches: int, groups: int) -> FamilySpec:
     return FamilySpec(switches, groups)
 
 
-def switch_example() -> tuple[Dnf, frozenset]:
+def switch_example() -> Dnf:
     """Five variables, one switch: the two settings want disjoint pairs.
 
     The covering sweep tops out at 3 while the largest proof has all
@@ -401,61 +400,40 @@ def switch_example() -> tuple[Dnf, frozenset]:
     """
     high = frozenset({Literal(4), Literal(2), Literal(3)})
     low = frozenset({Literal(4, True), Literal(0), Literal(1)})
-    return Dnf(5, (high, low)), frozenset({4})
-
-
-def _polarities(dnf: Dnf) -> tuple[set, set]:
-    """The variables that occur plain, and those that occur negated."""
-    pos, neg = set(), set()
-    for term in dnf.terms:
-        for lit in term:
-            (neg if lit.negated else pos).add(lit.variable)
-    return pos, neg
+    return Dnf(5, (high, low))
 
 
 class SwitchAnalysis:
-    """The switch settings of a DNF, each branch checked and swept once.
+    """The switch settings of a DNF, each branch swept once.
 
-    Switch variables must occur both plain and negated; every other
-    variable must stick to one polarity, and every setting of the
-    switches must leave a function that is monotone once the variables
-    occurring only negated are flipped.  Settings run in binary order:
-    bit s of the code is the value of the s-th switch in increasing
-    variable order.  One certificate sweep per branch gives its
-    minterms and maxterms over the original variables, and with them
-    the branch's largest proof.
+    The switches are the variables that occur both plain and negated.
+    Every other literal has one polarity, so each setting of the
+    switches leaves a DNF that is positive once the variables occurring
+    only negated are flipped: every branch is monotone up to that flip.
+    Settings run in binary order: bit s of the code is the value of the
+    s-th switch in increasing variable order.  One certificate sweep per
+    branch gives its minterms and maxterms over the original variables,
+    and with them the branch's largest proof.
     """
 
-    def __init__(self, dnf: Dnf, switches: Iterable[int]):
-        switch_set = frozenset(switches)
-        for z in switch_set:
-            if not 0 <= z < dnf.n:
-                raise ValueError(f"switch variable x{z} out of range")
-        pos, neg = _polarities(dnf)
-        for z in sorted(switch_set):
-            if z not in pos or z not in neg:
-                raise PricedBoolError(f"switch variable x{z} must appear both plain and negated")
-        # plain variables occurring only negated certify with value 0
-        self._flips = {}
-        for v in sorted((pos | neg) - switch_set):
-            if v in pos and v in neg:
-                raise PricedBoolError(f"variable x{v} appears both plain and negated "
-                                      "but is not a switch")
-            self._flips[v] = v in neg
-        self._switches = tuple(sorted(switch_set))
+    def __init__(self, dnf: Dnf):
+        literals = [lit for term in dnf.terms for lit in term]
+        pos = {lit.variable for lit in literals if not lit.negated}
+        neg = {lit.variable for lit in literals if lit.negated}
+        self.switches = tuple(sorted(pos & neg))
+        if not self.switches:
+            raise PricedBoolError("no variable appears in both polarities; "
+                                  "there is no switch to analyze")
+        # variables occurring only negated certify with value 0
+        self._negated = neg - pos
         self.f = f = dnf.function()
         # per setting: the setting, the function it leaves, its variable
         # map, and its certificates by side
         self._branches = []
-        for code in range(1 << len(self._switches)):
-            setting = tuple(code >> s & 1 for s in range(len(self._switches)))
-            assignment = PartialAssignment.of(f.n, dict(zip(self._switches, setting)))
+        for code in range(1 << len(self.switches)):
+            setting = tuple(code >> s & 1 for s in range(len(self.switches)))
+            assignment = PartialAssignment.of(f.n, dict(zip(self.switches, setting)))
             g, kept = f.restrict(assignment)
-            flip_mask = sum(1 << j for j, v in enumerate(kept) if self._flips.get(v, False))
-            normalized = BooleanFunction(g.table[np.arange(g.table.size) ^ flip_mask])
-            if g.n and not normalized.is_monotone():
-                raise PricedBoolError(f"switch setting {setting} leaves a non-monotone function "
-                                      "after polarity normalization")
             _require_cap(g.n, PROOF_ENUM_CAP, "proof enumeration")
             value = g.is_constant()
             if value is None:
@@ -505,15 +483,15 @@ class SwitchAnalysis:
         base sets the switches, the certificate toward itself, and every
         other variable away from same-side certificates."""
         toward = 1 if side == "minterm" else 0
-        base = {z: setting[s] for s, z in enumerate(self._switches)}
+        base = {z: setting[s] for s, z in enumerate(self.switches)}
         for lit in cert:
             base[lit.variable] = lit.value_when_true if toward else 1 - lit.value_when_true
         away = 1 - toward
         n = self.f.n
         for v in range(n):
             if v not in base:
-                base[v] = 1 - away if self._flips.get(v, False) else away
-        tracked = frozenset(self._switches) | {lit.variable for lit in cert}
+                base[v] = 1 - away if v in self._negated else away
+        tracked = frozenset(self.switches) | {lit.variable for lit in cert}
         costs = CostVector.of([1 if v in tracked else 0 for v in range(n)])
         return costs, FlipLastAdversary(n, base, tracked)
 
@@ -526,9 +504,9 @@ class SwitchAnalysis:
         objective is at most the switch count plus the largest setting
         optimum, which never exceeds the largest branch proof.
         """
-        k = len(self._switches)
+        k = len(self.switches)
         values = [ZERO] * self.f.n
-        for z in self._switches:
+        for z in self.switches:
             values[z] = ONE
         share = Fraction(1, 1 << k)
         for _, g, kept, _ in self._branches:

@@ -229,6 +229,40 @@ def test_cap_n_zero_is_honoured(capsys):
     assert "n=3 exceeds cap 0" in err
 
 
+_INTEGER_OPTIONS = [
+    ("ratio", "--f", "x0 | x1", "--cost", "random", "--seed"),
+    ("gen", "--f", "g", "--seed"),
+    ("verify", "lemma2", "--seed"),
+    ("analyze", "--f", "x0 | x1", "--cap-n"),
+    ("quad", "fstar", "--s"),
+]
+
+
+@pytest.mark.parametrize("value", ["\u0663", "\uff13", " 3 ", "3_0", "+3"])
+@pytest.mark.parametrize("argv", _INTEGER_OPTIONS)
+def test_integer_options_take_ascii_digits_only(argv, value):
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, value])
+    assert exit_info.value.code == 2
+
+
+def test_a_seed_has_no_sign():
+    for argv in [a for a in _INTEGER_OPTIONS if a[-1] == "--seed"]:
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "-5"])
+        assert exit_info.value.code == 2
+
+
+def test_ascii_integer_options_still_parse(capsys):
+    code, out, _ = run_cli(capsys, "ratio", "--f", "x0 | x1", "--cost", "random",
+                           "--seed", "3", "--cap-n", "03")
+    assert (code, out) == run_cli(capsys, "ratio", "--f", "x0 | x1", "--cost", "random:3")[:2]
+    assert code == 0
+    for s in ("0", "-1"):
+        code, _, err = run_cli(capsys, "quad", "fstar", "--s", s)
+        assert (code, err) == (2, "error: the pivot family needs s >= 1\n")
+
+
 @pytest.mark.parametrize("argv", [("lp", "solve", "--f", "majority:3"),
                                   ("quad", "analyze", "--f", "fstar:2")])
 def test_proof_enumerating_verbs_honour_cap_n(capsys, argv):

@@ -122,6 +122,9 @@ GOLDEN = [
      2, 'e3b0c44298fc1c14', '2cac50715d6a68f1', None),
     (('lp', 'lemma2', '--f', 'x0 & x1 & x2 | !x0 & !x1 & x3'),
      2, 'e3b0c44298fc1c14', '6ba1e6747f4cdd58', None),
+    # a DNF with no variable in both polarities has no switch
+    (('lp', 'lemma2', '--f', 'x0 & x1 | x2'),
+     2, 'e3b0c44298fc1c14', 'd36f85a0420bd8f9', None),
 ]
 
 

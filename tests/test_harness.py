@@ -180,10 +180,8 @@ def test_adversarial_ratio_never_beats_exhaustive():
 
 
 def _flip_last_adversaries():
-    gd, switches = switch_example()
-    family = make_switch_family(1, 2)
-    for label, analysis in (("g", SwitchAnalysis(gd, switches)),
-                            ("family:1,2", SwitchAnalysis(family.dnf(), family.switch_variables))):
+    for label, analysis in (("g", SwitchAnalysis(switch_example())),
+                            ("family:1,2", SwitchAnalysis(make_switch_family(1, 2).dnf()))):
         yield label, analysis.certified_switch()[4]
     for s in (1, 2, 3):
         for charge in ("winners", "survivors"):

@@ -39,6 +39,7 @@ from pricedbool.lp import (
     solve_lp,
     switch_example,
 )
+from pricedbool.quadratic import make_pivot_pairs
 from pricedbool.verify import _monotone_battery
 
 F = Fraction
@@ -178,8 +179,7 @@ def test_solution_json_shape():
 
 
 def test_sweep_on_the_switch_example():
-    gd, _ = switch_example()
-    g = gd.function()
+    g = switch_example().function()
     assert max_restriction_objective(g) == 3
     assert max_proof_size(g) == 4  # strictly above the sweep value
 
@@ -220,7 +220,7 @@ def _sweep_battery():
     rng = random.Random(45)
     for n in (4, 5, 6) * 4:
         yield random_function(rng, n)
-    yield switch_example()[0].function()
+    yield switch_example().function()
     yield majority(5)
     yield make_switch_family(1, 2).function()
 
@@ -406,22 +406,68 @@ def test_guided_reader_charges_survive_a_luring_chain():
 # --- switches ------------------------------------------------------------------
 
 
-def test_polarity_hypothesis_is_checked():
-    gd, _ = switch_example()
-    with pytest.raises(PricedBoolError, match="must appear both plain and negated"):
-        SwitchAnalysis(gd, {0})
-    with pytest.raises(PricedBoolError, match="is not a switch"):
-        SwitchAnalysis(parse_dnf("x0 & !x1 | x1 & !x0"), {0})
+def test_a_dnf_without_switches_is_refused_before_any_table(monkeypatch):
+    def no_table(dnf):
+        raise AssertionError("built a table")
+
+    monkeypatch.setattr(Dnf, "function", no_table)
+    for text in ("x0 & x1 | x2", "!x0 & x1 | !x2", "x0 & !x1"):
+        with pytest.raises(PricedBoolError, match="^no variable appears in both polarities; "
+                                                  "there is no switch to analyze$"):
+            SwitchAnalysis(parse_dnf(text))
+
+
+def _random_dnf(rng):
+    n = rng.randint(1, 7)
+    terms = []
+    for _ in range(rng.randint(1, 5)):
+        variables = rng.sample(range(n), rng.randint(1, min(n, 4)))
+        terms.append(frozenset(Literal(v, rng.random() < 0.5) for v in variables))
+    return Dnf(n, tuple(terms))
+
+
+def _switch_battery():
+    yield switch_example()
+    yield make_pivot_pairs(2).dnf()
+    for k, t in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        yield make_switch_family(k, t).dnf()
+    rng = random.Random(24)
+    for _ in range(1000):
+        yield _random_dnf(rng)
+
+
+def _is_monotone(table, n):
+    return all(table[x] <= table[x | 1 << v]
+               for v in range(n) for x in range(1 << n) if not x >> v & 1)
+
+
+def test_switches_are_both_polarities_and_every_branch_is_monotone_after_flips():
+    analyses = 0
+    for dnf in _switch_battery():
+        pos = {lit.variable for term in dnf.terms for lit in term if not lit.negated}
+        neg = {lit.variable for term in dnf.terms for lit in term if lit.negated}
+        if not pos & neg:
+            with pytest.raises(PricedBoolError, match="no switch to analyze"):
+                SwitchAnalysis(dnf)
+            continue
+        analysis = SwitchAnalysis(dnf)
+        analyses += 1
+        assert analysis.switches == tuple(sorted(pos & neg))
+        assert len(analysis._branches) == 1 << len(analysis.switches)
+        for _, g, kept, _ in analysis._branches:
+            flips = sum(1 << j for j, v in enumerate(kept) if v in neg - pos)
+            table = [int(g.table[x ^ flips]) for x in range(1 << g.n)]
+            assert _is_monotone(table, g.n), dnf.text()
+    assert analyses > 500
 
 
 def test_branch_proofs_of_the_switch_example():
-    gd, switches = switch_example()
-    assert SwitchAnalysis(gd, switches).proof_size == 2
+    assert SwitchAnalysis(switch_example()).proof_size == 2
 
 
 def test_mixed_solution_is_feasible_and_small():
-    gd, switches = switch_example()
-    mixed = SwitchAnalysis(gd, switches).mixed_solution()
+    gd = switch_example()
+    mixed = SwitchAnalysis(gd).mixed_solution()
     assert mixed.values == (F(1, 2), F(1, 2), F(1, 2), F(1, 2), 1)
     assert mixed.objective == 3  # = switches + branch proof size
     rows = build_lp(gd.function()).rows
@@ -429,26 +475,25 @@ def test_mixed_solution_is_feasible_and_small():
 
 
 def test_certified_switch_oracles():
-    gd, switches = switch_example()
-    assert SwitchAnalysis(gd, switches).certified_switch()[:3] == ((0,), (0, 1), "minterm")
-    fam = make_switch_family(2, 1)
-    assert SwitchAnalysis(fam.dnf(), fam.switch_variables).certified_switch()[:3] == \
+    assert SwitchAnalysis(switch_example()).certified_switch()[:3] == ((0,), (0, 1), "minterm")
+    assert SwitchAnalysis(make_switch_family(2, 1).dnf()).certified_switch()[:3] == \
         ((0, 0), (0,), "minterm")
 
 
 def test_switch_adversary_forces_the_target():
     from pricedbool.harness import adversarial_ratio
 
-    gd, switches = switch_example()
+    gd = switch_example()
     # the example's dual certifies by a maxterm: setting x4 = 0 leaves
     # x2 | x3, and the other setting has no maxterm inside {x2, x3}
     dual = parse_dnf("x4 & x0 | x4 & x1 | !x4 & x2 | !x4 & x3")
     for dnf, side in ((gd, "minterm"), (dual, "maxterm")):
-        analysis = SwitchAnalysis(dnf, switches)
+        analysis = SwitchAnalysis(dnf)
         g = analysis.f
         _, _, certified_side, costs, adversary = analysis.certified_switch()
         assert certified_side == side
-        target = len(switches) + analysis.proof_size
+        assert analysis.switches == (4,)
+        target = len(analysis.switches) + analysis.proof_size
         for alg in (greedy_strategy(costs), lp_guided_strategy(g, costs)):
             rep = adversarial_ratio(alg, g, adversary, costs)
             assert rep.ratio >= target
@@ -459,26 +504,27 @@ def test_switch_adversary_forces_the_target():
 def test_certified_switch_refuses_certificates_another_setting_shares():
     # both settings leave x1, so each certifies inside the other's {x1}
     with pytest.raises(PricedBoolError, match="no largest certificate qualifies"):
-        SwitchAnalysis(parse_dnf("x0 & x1 | !x0 & x1"), {0}).certified_switch()
+        SwitchAnalysis(parse_dnf("x0 & x1 | !x0 & x1")).certified_switch()
 
 
 def test_constant_branches_certify_inside_every_set():
     # switches x0, x2: setting (1, 0) leaves the constant 1, whose empty
     # minterm lies inside the variables of every other setting's minterms
-    analysis = SwitchAnalysis(parse_dnf("x0 & x1 | !x0 & x2 & x3 | x0 & !x2"), {0, 2})
+    analysis = SwitchAnalysis(parse_dnf("x0 & x1 | !x0 & x2 & x3 | x0 & !x2"))
+    assert analysis.switches == (0, 2)
     with pytest.raises(PricedBoolError, match="no largest certificate qualifies"):
         analysis.certified_switch()
     # switches x0, x1: settings (1, 0) and (0, 1) leave the constant 0, whose
     # empty maxterm spoils every maxterm of the others but no minterm
-    analysis = SwitchAnalysis(parse_dnf("x0 & x1 & x2 | !x0 & !x1 & x3"), {0, 1})
+    analysis = SwitchAnalysis(parse_dnf("x0 & x1 & x2 | !x0 & !x1 & x3"))
+    assert analysis.switches == (0, 1)
     assert analysis.certified_switch()[:3] == ((0, 0), (3,), "minterm")
     with pytest.raises(PricedBoolError, match=r"setting \(1, 0\) leaves a constant function"):
         analysis.mixed_solution()
 
 
 def test_z_free_proofs_decompose_into_branch_minterms():
-    gd, switches = switch_example()
-    _assert_decomposition(gd, sorted(switches))
+    _assert_decomposition(switch_example(), [4])
     for k, t in ((1, 2), (2, 1)):
         fam = make_switch_family(k, t)
         _assert_decomposition(fam.dnf(), list(fam.switch_variables))
@@ -555,7 +601,7 @@ def test_restriction_sweep_folds_one_subcube_table(monkeypatch):
     # an empty cache, so every distinct restriction builds its program
     monkeypatch.setattr(lp, "_OBJECTIVE_CACHE", {})
     rng = random.Random(43)
-    functions = [make_switch_family(1, 2).function(), switch_example()[0].function(),
+    functions = [make_switch_family(1, 2).function(), switch_example().function(),
                  majority(5)] + [random_function(rng, n) for n in (3, 4, 5, 6)]
     for f in functions:
         folds.clear()

@@ -359,7 +359,7 @@ def _refinement_battery():
         yield majority(n)
     for k, t in ((1, 1), (1, 2), (2, 1)):
         yield make_switch_family(k, t).function()
-    yield switch_example()[0].function()
+    yield switch_example().function()
 
 
 def test_refinement_matches_the_two_phase_oracle():
