@@ -12,10 +12,10 @@ from fractions import Fraction
 
 from pricedbool import (
     CostVector,
+    GreedyStrategy,
     PartialAssignment,
     cheapest_proof,
     competitive_ratio_exhaustive,
-    greedy_strategy,
     parse_dnf,
     run,
     unit_costs,
@@ -28,7 +28,7 @@ print("prices:  ", {f"x{v}": str(c) for v, c in enumerate(costs.values)})
 
 # one concrete evaluation, cheapest-first
 hidden = PartialAssignment.of(3, {0: 1, 1: 0, 2: 1})
-transcript = run(greedy_strategy(costs), f, hidden, costs)
+transcript = run(GreedyStrategy(costs), f, hidden, costs)
 print("\nhidden assignment:", hidden.bit_string())
 for record in transcript.reads:
     print(f"  read x{record.variable} = {record.value}  (paid {record.cost})")
@@ -39,12 +39,12 @@ print(f"cheapest proof here: {sorted(proof.variables)} at cost {proof_cost}")
 print(f"this run's ratio: {transcript.total_cost / proof_cost}")
 
 # the worst case over all eight assignments
-report = competitive_ratio_exhaustive(greedy_strategy(costs), f, costs)
+report = competitive_ratio_exhaustive(GreedyStrategy(costs), f, costs)
 print(f"\nworst ratio over all assignments: {report.ratio}")
 print(f"  attained at {report.worst_assignment.bit_string()}: "
       f"paid {report.algorithm_cost} against a {report.proof_cost} proof")
 
 # with unit prices the same strategy looks different
-unit_report = competitive_ratio_exhaustive(greedy_strategy(unit_costs(3)), f,
+unit_report = competitive_ratio_exhaustive(GreedyStrategy(unit_costs(3)), f,
                                            unit_costs(3))
 print(f"same strategy at unit prices: worst ratio {unit_report.ratio}")

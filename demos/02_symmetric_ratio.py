@@ -15,12 +15,12 @@ it.  Over all price vectors the formula tops out at exactly s.
 import random
 
 from pricedbool import (
+    GreedyStrategy,
     SymmetricProfile,
     adversarial_ratio,
     blocks,
     competitive_ratio_exhaustive,
     extremal_cost_vector,
-    greedy_strategy,
     ratio_formula,
     ratio_string,
     spread,
@@ -40,12 +40,12 @@ costs = random_cost_vector(profile.n, rng, positive=True)
 print("\nprices:", ", ".join(f"x{v}={c}" for v, c in enumerate(costs.values)))
 
 formula = ratio_formula(profile, costs)
-swept = competitive_ratio_exhaustive(greedy_strategy(costs), f, costs).ratio
+swept = competitive_ratio_exhaustive(GreedyStrategy(costs), f, costs).ratio
 print(f"formula value:            {ratio_string(formula)}")
 print(f"exhaustive greedy ratio:  {ratio_string(swept)}")
 
 adversary = symmetric_adversary(profile, costs)
-forced = adversarial_ratio(greedy_strategy(costs), f, adversary, costs).ratio
+forced = adversarial_ratio(GreedyStrategy(costs), f, adversary, costs).ratio
 print(f"adversary forces greedy:  {ratio_string(forced)}")
 assert formula == swept == forced
 

@@ -15,19 +15,19 @@ two-phase cheapest-first reader stays within s+1 on it.
 from fractions import Fraction
 
 from pricedbool import (
+    GreedyStrategy,
+    PivotPairs,
+    PivotTwoPhase,
     adversarial_ratio,
     certificate_sizes,
     competitive_ratio_exhaustive,
-    greedy_strategy,
-    make_pivot_pairs,
     maxterm_adversary,
     maxterm_analysis,
-    pivot_two_phase,
 )
 from pricedbool.core import random_cost_vector
 import random
 
-pairs = make_pivot_pairs(2)
+pairs = PivotPairs(2)
 f = pairs.function()
 print("the paired-pivot function for s = 2:")
 print(" ", pairs.dnf().text())
@@ -42,7 +42,7 @@ print("outside variables fixed to:",
 print("survivors under that fixing:", sorted(lit.text() for lit in analysis.survivors))
 
 costs, adversary = maxterm_adversary(f, charge="winners", analysis=analysis)
-report = adversarial_ratio(greedy_strategy(costs), f, adversary, costs)
+report = adversarial_ratio(GreedyStrategy(costs), f, adversary, costs)
 target = Fraction(ell, 3)
 print(f"\nthe charged adversary forces greedy to ratio {report.ratio}"
       f" (needed: at least {target})")
@@ -52,9 +52,9 @@ print(f"  it paid {report.algorithm_cost} while a proof of cost"
 print("\nupper side: the two-phase reader on the same family")
 rng = random.Random(11)
 for s in (1, 2, 3):
-    pairs = make_pivot_pairs(s)
+    pairs = PivotPairs(s)
     worst = max(
         competitive_ratio_exhaustive(
-            pivot_two_phase(pairs, c), pairs.function(), c).ratio
+            PivotTwoPhase(pairs, c), pairs.function(), c).ratio
         for c in (random_cost_vector(pairs.n, rng) for _ in range(10)))
     print(f"  s = {s}: worst sampled ratio {worst} <= {s + 1}")

@@ -19,12 +19,12 @@ from fractions import Fraction
 from pricedbool import (
     BooleanFunction,
     CostVector,
+    GreedyStrategy,
+    LpGuidedStrategy,
     SwitchAnalysis,
     adversarial_ratio,
     build_lp,
     competitive_ratio_exhaustive,
-    greedy_strategy,
-    lp_guided_strategy,
     majority,
     max_proof_size,
     max_restriction_objective,
@@ -52,8 +52,8 @@ costs = CostVector.of([Fraction(84, 5), 44, Fraction(43, 2), 15])
 delta = max_restriction_objective(f)
 print(f"\na four-variable function with sweep value {delta}"
       f" (largest proof {max_proof_size(f)})")
-greedy = competitive_ratio_exhaustive(greedy_strategy(costs), f, costs).ratio
-guided = competitive_ratio_exhaustive(lp_guided_strategy(f, costs), f, costs).ratio
+greedy = competitive_ratio_exhaustive(GreedyStrategy(costs), f, costs).ratio
+guided = competitive_ratio_exhaustive(LpGuidedStrategy(f, costs), f, costs).ratio
 print(f"  greedy worst ratio: {greedy} > {delta}")
 print(f"  guided worst ratio: {guided} <= {delta}")
 assert guided <= delta < greedy
@@ -74,8 +74,8 @@ setting, certificate, side, charge, adversary = analysis.certified_switch()
 names = ", ".join(f"x{v}" for v in certificate)
 print(f"  setting x4 = {setting[0]} leaves a {side} on {names} that no"
       f" other setting can certify")
-for name, alg in (("greedy", greedy_strategy(charge)),
-                  ("guided reader", lp_guided_strategy(g, charge))):
+for name, alg in (("greedy", GreedyStrategy(charge)),
+                  ("guided reader", LpGuidedStrategy(g, charge))):
     forced = adversarial_ratio(alg, g, adversary, charge)
     print(f"  unit charges on the certificate force the {name} to"
           f" {forced.ratio}")

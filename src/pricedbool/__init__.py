@@ -57,7 +57,6 @@ from .harness import (
     ReadRecord,
     adversarial_ratio,
     competitive_ratio_exhaustive,
-    greedy_strategy,
     ratio_of,
     ratio_string,
     run,
@@ -69,10 +68,8 @@ from .lp import (
     ProofLp,
     SwitchAnalysis,
     build_lp,
-    lp_guided_strategy,
     lp_objective,
     lp_solution,
-    make_switch_family,
     max_restriction_objective,
     solve_lp,
     switch_example,
@@ -82,10 +79,8 @@ from .quadratic import (
     PivotTwoPhase,
     QuadraticAnalysis,
     certificate_sizes,
-    make_pivot_pairs,
     maxterm_adversary,
     maxterm_analysis,
-    pivot_two_phase,
     random_quadratic,
 )
 from .symmetric import (

@@ -55,26 +55,24 @@ from .core import (
     unit_costs,
 )
 from .harness import (
+    GreedyStrategy,
     adversarial_ratio,
     competitive_ratio_exhaustive,
-    greedy_strategy,
     ratio_string,
 )
 from .lp import (
     FamilySpec,
+    LpGuidedStrategy,
     SwitchAnalysis,
-    lp_guided_strategy,
     lp_solution,
-    make_switch_family,
     max_restriction_objective,
     switch_example,
 )
 from .quadratic import (
     PivotPairs,
-    make_pivot_pairs,
+    PivotTwoPhase,
     maxterm_adversary,
     maxterm_analysis,
-    pivot_two_phase,
 )
 from .symmetric import (
     SymmetricProfile,
@@ -131,12 +129,12 @@ def load_function(token: str) -> FunctionSource:
         return FunctionSource("g", dnf.function, dnf=dnf)
     if token.startswith("fstar:"):
         (s,) = _int_params(token, "fstar", 1)
-        pairs = make_pivot_pairs(s)
+        pairs = PivotPairs(s)
         _require_table_cap(pairs.n)
         return FunctionSource(token, pairs.function, dnf=pairs.dnf(), pairs=pairs)
     if token.startswith("family:"):
         k, t = _int_params(token, "family", 2)
-        fam = make_switch_family(k, t)
+        fam = FamilySpec(k, t)
         _require_table_cap(fam.n)
         return FunctionSource(token, fam.function, dnf=fam.dnf(), family=fam)
     if token.startswith("parity:"):
@@ -250,12 +248,12 @@ def cmd_analyze(args) -> int:
 
 def _build_algorithm(name: str, src: FunctionSource, costs: CostVector):
     if name == "greedy":
-        return greedy_strategy(costs)
+        return GreedyStrategy(costs)
     if name == "lpa":
-        return lp_guided_strategy(src.f, costs)
+        return LpGuidedStrategy(src.f, costs)
     if src.pairs is None:
         raise PricedBoolError("bf2 runs only on fstar:<s> instances")
-    return pivot_two_phase(src.pairs, costs)
+    return PivotTwoPhase(src.pairs, costs)
 
 
 def cmd_ratio(args) -> int:
@@ -383,7 +381,7 @@ def cmd_lp(args) -> int:
         if f.is_constant() is not None:
             raise PricedBoolError("the guided-reader bound is undefined for constant functions")
         costs, cost_label = load_costs(args.cost, src, args.seed)
-        rep = competitive_ratio_exhaustive(lp_guided_strategy(f, costs), f, costs,
+        rep = competitive_ratio_exhaustive(LpGuidedStrategy(f, costs), f, costs,
                                            cap=_cap(args, SEARCH_CAP))
         delta = max_restriction_objective(f, cap=_cap(args, SEARCH_CAP))
         verdicts = [_verdict("guided reader within the restriction sweep",
@@ -426,8 +424,8 @@ def _lp_switch_report(args, src: FunctionSource) -> int:
     mixed = analysis.mixed_solution()
     setting, certificate, side, adv_costs, adversary = analysis.certified_switch()
     forced = {}
-    for name, algorithm in (("greedy", greedy_strategy(adv_costs)),
-                            ("lpa", lp_guided_strategy(f, adv_costs))):
+    for name, algorithm in (("greedy", GreedyStrategy(adv_costs)),
+                            ("lpa", LpGuidedStrategy(f, adv_costs))):
         forced[name] = adversarial_ratio(algorithm, f, adversary, adv_costs)
     delta = max_restriction_objective(f, cap=_cap(args, SEARCH_CAP))
     verdicts = [
@@ -467,7 +465,7 @@ def _lp_switch_report(args, src: FunctionSource) -> int:
 
 def cmd_quad(args) -> int:
     if args.quad_command == "fstar":
-        pairs = make_pivot_pairs(args.s)
+        pairs = PivotPairs(args.s)
         text = pairs.dnf().text()
         return _finish(args, "quad fstar", {"s": pairs.s},
                        {"n": pairs.n, "dnf": text}, [], [text])

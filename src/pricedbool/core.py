@@ -8,7 +8,9 @@ each of the 3**n subcubes, or 2 where f is not constant.  A proof is a
 constant subcube that no freed variable keeps constant; those forcing 1
 are the minterms and those forcing 0 the maxterms.  A restriction is a
 view of f's tables: one index slices its truth table out of f's, and
-its subcube table too once f's is built.
+its subcube table too once f's is built.  Two folds know the subcube
+layout: `_grow` takes a table over the 2**n assignments to one over the
+3**n subcubes, and `_shrink` takes it back.
 
 Conventions used throughout the package:
 
@@ -442,29 +444,44 @@ def _build_subcubes(f: BooleanFunction) -> np.ndarray:
 
     The table is uint8 with shape (3,)*n.  Axis k is variable n-1-k, as
     in ``f.table.reshape((2,)*n)``; digits 0 and 1 bind the variable to
-    that value and digit 2 leaves it free.  Each fold appends the free
-    digit of one variable: the two bound halves where they agree, else 2.
-
-    A fold along variable v works in runs of 3**v contiguous cells, once
-    the variables below it have their three digits.  So the growing folds
-    here go lowest variable first, and the folds that shrink a table
-    (`_cheapest_proof_totals`, `minimal_witness_domains`) highest first:
-    either way the passes over the most cells run along the longest runs.
+    that value and digit 2 leaves it free.
     """
     _require_cap(f.n, PROOF_ENUM_CAP, "the subcube table")
-    # fold the set of values f takes on each subcube, value b as bit b:
+    # grow the set of values f takes on each subcube, value b as bit b:
     # a freed digit's set is the union of its halves', and 1, 2, 3 (only
     # 0, only 1, both) less one is the table's entry
-    t = f.table.astype(np.uint8) + 1
-    for v in range(f.n):
-        bound = t.reshape(-1, 2, 3 ** v)
-        t = np.empty((len(bound), 3, 3 ** v), dtype=np.uint8)
-        t[:, :2] = bound
-        np.bitwise_or(bound[:, 0], bound[:, 1], out=t[:, 2])
+    t = _grow(f.table.astype(np.uint8) + 1, lambda a, b: (a, b, a | b))
     t -= 1
-    t = t.reshape((3,) * f.n)
     t.setflags(write=False)
     return t
+
+
+def _grow(t: np.ndarray, planes) -> np.ndarray:
+    """2**n entries indexed by assignment as a (3,)*n table: the pass for
+    a variable maps the halves that bind it to 0 and to 1 onto the planes
+    of its digits 0, 1 and 2 (free), ``planes(half0, half1)``, in t's dtype.
+
+    A pass along variable v works in runs of 3**v contiguous cells, once
+    the variables below it have their three digits.  So `_grow` goes
+    lowest variable first, and `_shrink` highest first: either way the
+    passes over the most cells run along the longest runs.
+    """
+    n = t.size.bit_length() - 1
+    for v in range(n):
+        half = t.reshape(-1, 2, 3 ** v)
+        t = np.empty((len(half), 3, 3 ** v), t.dtype)
+        t[:, 0], t[:, 1], t[:, 2] = planes(half[:, 0], half[:, 1])
+    return t.reshape((3,) * n)
+
+
+def _shrink(t: np.ndarray, planes) -> np.ndarray:
+    """A (3,)*n table as 2**n entries: the pass for a variable maps its
+    digits 0, 1 and 2 onto two halves, ``planes(d0, d1, free)``."""
+    for v in reversed(range(t.ndim)):
+        d = t.reshape(-1, 3, 3 ** v)
+        t = np.empty((len(d), 2, 3 ** v), t.dtype)
+        t[:, 0], t[:, 1] = planes(d[:, 0], d[:, 1], d[:, 2])
+    return t.reshape(-1)
 
 
 def _sweep_minimal(f: BooleanFunction) -> list[tuple[int, int, int]]:
@@ -542,16 +559,11 @@ def minimal_witness_domains(f: BooleanFunction) -> tuple[int, ...]:
     redundant as covering constraints since their row sums dominate.
     """
     _require_cap(f.n, PROOF_ENUM_CAP, "proof enumeration")
-    n = f.n
-    # fold each variable's digits to (free, bound): ok[mask] says some
+    # shrink each variable's digits to (free, bound): ok[mask] says some
     # subcube with exactly the variables in mask bound is constant
-    ok = f.subcube_table() != 2
-    for v in reversed(range(n)):
-        d = ok.reshape(-1, 3, 3 ** v)
-        ok = np.stack([d[:, 2], d[:, 0] | d[:, 1]], axis=1)
-    ok = ok.reshape(-1)
+    ok = _shrink(f.subcube_table() != 2, lambda a, b, free: (free, a | b))
     minimal = ok.copy()
-    for v in range(n):
+    for v in range(f.n):
         minimal.reshape(-1, 2, 2 ** v)[:, 1] &= ~ok.reshape(-1, 2, 2 ** v)[:, 0]
     return tuple(sorted(np.flatnonzero(minimal).tolist(), key=lambda m: (m.bit_count(), m)))
 
@@ -597,11 +609,10 @@ def _scaled_costs(costs: CostVector) -> tuple[list[int], int]:
     return [c.numerator * (scale // c.denominator) for c in costs.values], scale
 
 
-def _subset_costs(n: int, costs: list[int]) -> list[int]:
-    total = [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        total[mask] = total[mask ^ low] + costs[low.bit_length() - 1]
+def _subset_costs(costs: list[int]) -> list[int]:
+    total = [0]
+    for c in costs:
+        total += [t + c for t in total]
     return total
 
 
@@ -630,10 +641,12 @@ def cheapest_proof(f: BooleanFunction, assignment: PartialAssignment,
     so dropping a variable that is not needed never costs more; the
     tie-break on size thus leaves the subset inclusion-minimal.
     """
+    if costs.n != f.n or assignment.n != f.n:
+        raise ValueError("mismatched sizes between function, costs, and assignment")
     if not assignment.is_full:
         raise PricedBoolError("incomplete assignment: cheapest_proof needs every value")
     scaled, scale = _scaled_costs(costs)
-    total = _subset_costs(f.n, scaled)
+    total = _subset_costs(scaled)
     forced = _forced_subsets(f, assignment.bits)
     keep = min(np.flatnonzero(forced != 2).tolist(), key=lambda m: (total[m], m.bit_count(), m))
     part = PartialAssignment(f.n, keep, assignment.bits & keep)
@@ -643,31 +656,27 @@ def cheapest_proof(f: BooleanFunction, assignment: PartialAssignment,
 def _cheapest_proof_totals(f: BooleanFunction, costs: list[int]) -> list[int]:
     """Cheapest proof cost for every assignment index, in integer costs."""
     n = f.n
-    table = f.subcube_table().reshape(-1)
-    total = _subset_costs(n, costs)
+    table = f.subcube_table()  # first: past its cap it refuses before any 3**n spread
+    total = _subset_costs(costs)
     # only each assignment's least cost is returned, so ties need no order
     order = sorted(range(len(total)), key=total.__getitem__)
     rank = np.empty(1 << n, dtype=np.int32)
     rank[order] = np.arange(1 << n)
     # spread each bound set's rank over its subcubes: digits 0 and 1 read
     # mask bit 1, the free digit mask bit 0
-    for v in range(n):
-        by_bit = rank.reshape(-1, 2, 3 ** v)
-        rank = np.empty((len(by_bit), 3, 3 ** v), dtype=np.int32)
-        rank[:, 0] = rank[:, 1] = by_bit[:, 1]
-        rank[:, 2] = by_bit[:, 0]
-    rank = np.where(table != 2, rank.reshape(-1), 1 << n)
+    rank = _grow(rank, lambda unbound, bound: (bound, bound, unbound))
+    rank = np.where(table != 2, rank, 1 << n)
     # push the least rank down every free digit onto the bound ones,
     # dropping the free digit: what is left is indexed by assignment
-    for v in reversed(range(n)):
-        r = rank.reshape(-1, 3, 3 ** v)
-        rank = np.minimum(r[:, :2], r[:, 2:])
-    return [total[order[r]] for r in rank.reshape(-1).tolist()]
+    rank = _shrink(rank, lambda a, b, free: (np.minimum(a, free), np.minimum(b, free)))
+    return [total[order[r]] for r in rank.tolist()]
 
 
 def cheapest_proof_costs(f: BooleanFunction, costs: CostVector) -> list[Fraction]:
     """Cheapest proof cost for every assignment index at once."""
     _require_cap(f.n, SEARCH_CAP, "cheapest-proof search")
+    if costs.n != f.n:
+        raise ValueError("mismatched sizes between function and costs")
     scaled, scale = _scaled_costs(costs)
     return [Fraction(t, scale) for t in _cheapest_proof_totals(f, scaled)]
 
@@ -681,10 +690,10 @@ def _popcounts(n: int) -> np.ndarray:
     if n < 0:
         raise ValueError(f"a function needs n >= 0 variables, got n={n}")
     _require_table_cap(n)
-    idx = np.arange(1 << n, dtype=np.int64)
-    ones = np.zeros(1 << n, dtype=np.int64)
-    for v in range(n):
-        ones += (idx >> v) & 1
+    # uint8 holds every count, and majority's 2 * count, up to the table cap
+    ones = np.zeros(1, np.uint8)
+    for _ in range(n):
+        ones = np.concatenate([ones, ones + 1])
     return ones
 
 

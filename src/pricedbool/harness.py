@@ -268,8 +268,3 @@ class GreedyStrategy:
             if not mask >> var & 1:
                 return var
         raise ContractViolation("contract violation: every variable was already read")
-
-
-def greedy_strategy(costs: CostVector) -> GreedyStrategy:
-    return GreedyStrategy(costs)
-

@@ -333,10 +333,6 @@ class LpGuidedStrategy:
         return u, tuple(r // common for r in after)
 
 
-def lp_guided_strategy(f: BooleanFunction, costs: CostVector) -> LpGuidedStrategy:
-    return LpGuidedStrategy(f, costs)
-
-
 # ---------------------------------------------------------------------------
 # switch families: k steering variables select one of 2^k plain restrictions
 
@@ -386,10 +382,6 @@ class FamilySpec:
 
     def function(self) -> BooleanFunction:
         return self.dnf().function()
-
-
-def make_switch_family(switches: int, groups: int) -> FamilySpec:
-    return FamilySpec(switches, groups)
 
 
 def switch_example() -> Dnf:

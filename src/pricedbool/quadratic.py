@@ -158,6 +158,10 @@ class PivotPairs:
 
     s: int
 
+    def __post_init__(self):
+        if self.s < 1:
+            raise ValueError("the pivot family needs s >= 1")
+
     @property
     def n(self) -> int:
         return 2 * self.s + 1
@@ -182,12 +186,6 @@ class PivotPairs:
 
     def function(self) -> BooleanFunction:
         return self.dnf().function()
-
-
-def make_pivot_pairs(s: int) -> PivotPairs:
-    if s < 1:
-        raise ValueError("the pivot family needs s >= 1")
-    return PivotPairs(s)
 
 
 class PivotTwoPhase:
@@ -228,10 +226,6 @@ class PivotTwoPhase:
             if not skip >> var & 1:
                 return var
         raise ContractViolation("contract violation: no variable left to read")
-
-
-def pivot_two_phase(pairs: PivotPairs, costs: CostVector) -> PivotTwoPhase:
-    return PivotTwoPhase(pairs, costs)
 
 
 def random_quadratic(rng, max_n: int = 8) -> tuple[Dnf, BooleanFunction]:

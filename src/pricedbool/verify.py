@@ -90,7 +90,7 @@ def check_symmetric_formula(seed: int) -> dict:
         for costs in cost_list:
             cases += 1
             formula = symmetric.ratio_formula(profile, costs)
-            greedy = harness.greedy_strategy(costs)
+            greedy = harness.GreedyStrategy(costs)
             swept = harness.competitive_ratio_exhaustive(greedy, f, costs).ratio
             adversary = symmetric.symmetric_adversary(profile, costs)
             forced = harness.adversarial_ratio(greedy, f, adversary, costs).ratio
@@ -134,8 +134,8 @@ def check_parity(seed: int) -> dict:
         for _ in range(20):
             costs = core.random_cost_vector(n, rng, positive=True)
             cases += 1
-            for label, algorithm in (("greedy", harness.greedy_strategy(costs)),
-                                     ("lpa", lp.lp_guided_strategy(f, costs))):
+            for label, algorithm in (("greedy", harness.GreedyStrategy(costs)),
+                                     ("lpa", lp.LpGuidedStrategy(f, costs))):
                 ratio = harness.competitive_ratio_exhaustive(algorithm, f, costs).ratio
                 if ratio != 1:
                     failures.append(f"parity n={n} {label} costs {core.cost_text(costs)}: "
@@ -176,7 +176,7 @@ def check_pivot_two_phase(seed: int) -> dict:
     cases = 0
     worst = {}
     for s in (1, 2, 3):
-        pairs = quadratic.make_pivot_pairs(s)
+        pairs = quadratic.PivotPairs(s)
         f = pairs.function()
         rng = random.Random(f"{seed}|two-phase|{s}")
         best = Fraction(0)
@@ -184,7 +184,7 @@ def check_pivot_two_phase(seed: int) -> dict:
             costs = core.random_cost_vector(f.n, rng)
             cases += 1
             ratio = harness.competitive_ratio_exhaustive(
-                quadratic.pivot_two_phase(pairs, costs), f, costs).ratio
+                quadratic.PivotTwoPhase(pairs, costs), f, costs).ratio
             if not ratio <= s + 1:
                 failures.append(f"s={s} costs {core.cost_text(costs)}: "
                                 f"ratio {harness.ratio_string(ratio)} > {s + 1}")
@@ -204,7 +204,7 @@ def check_maxterm_lower_bound(seed: int) -> dict:
     cases = 0
     instances = []
     for s in range(1, 5):
-        pairs = quadratic.make_pivot_pairs(s)
+        pairs = quadratic.PivotPairs(s)
         instances.append((f"pivot pairs s={s}", pairs.function(), pairs))
     rng = random.Random(f"{seed}|quadratic-samples")
     for index in range(200):
@@ -230,11 +230,11 @@ def check_maxterm_lower_bound(seed: int) -> dict:
             best = None
             for charge, costs, adversary in charge_runs:
                 if kind == "greedy":
-                    algorithm = harness.greedy_strategy(costs)
+                    algorithm = harness.GreedyStrategy(costs)
                 elif kind == "lpa":
-                    algorithm = lp.lp_guided_strategy(f, costs)
+                    algorithm = lp.LpGuidedStrategy(f, costs)
                 else:
-                    algorithm = quadratic.pivot_two_phase(pairs, costs)
+                    algorithm = quadratic.PivotTwoPhase(pairs, costs)
                 played = harness.adversarial_ratio(algorithm, f, adversary, costs)
                 if f.evaluate(played.worst_assignment) != 1:
                     failures.append(f"{label} {kind} {charge}: the adversary's "
@@ -312,7 +312,7 @@ def check_lp_bounds(seed: int) -> dict:
     if not (lp.max_restriction_objective(g) == 3 and core.max_proof_size(g) == 4):
         failures.append("the five-variable switch example does not separate the gauges")
     for k, t in ((1, 1), (1, 2), (2, 1), (1, 3)):
-        family = lp.make_switch_family(k, t)
+        family = lp.FamilySpec(k, t)
         f = family.function()
         cases += 1
         sweep = lp.max_restriction_objective(f)
@@ -336,7 +336,7 @@ def check_lpa_restriction_bound(seed: int) -> dict:
             costs = core.random_cost_vector(n, rng)
             cases += 1
             ratio = harness.competitive_ratio_exhaustive(
-                lp.lp_guided_strategy(f, costs), f, costs).ratio
+                lp.LpGuidedStrategy(f, costs), f, costs).ratio
             if not ratio <= bound:
                 failures.append(f"sample {index} (n={n}) costs {core.cost_text(costs)}: "
                                 f"ratio {harness.ratio_string(ratio)} > {bound}")
@@ -351,7 +351,7 @@ def check_switch_certification(seed: int) -> dict:
     cases = 0
     instances = [("five-variable example", lp.switch_example())]
     for k, t in ((1, 2), (2, 1), (2, 2)):
-        instances.append((f"family k={k} t={t}", lp.make_switch_family(k, t).dnf()))
+        instances.append((f"family k={k} t={t}", lp.FamilySpec(k, t).dnf()))
     for label, dnf in instances:
         cases += 1
         entry = []
@@ -364,8 +364,8 @@ def check_switch_certification(seed: int) -> dict:
                 entry.append(f"averaged vector objective {mixed.objective} vs "
                              f"bound {target}")
             *_, costs, adversary = analysis.certified_switch()
-            for kind, algorithm in (("greedy", harness.greedy_strategy(costs)),
-                                    ("lpa", lp.lp_guided_strategy(f, costs))):
+            for kind, algorithm in (("greedy", harness.GreedyStrategy(costs)),
+                                    ("lpa", lp.LpGuidedStrategy(f, costs))):
                 forced = harness.adversarial_ratio(algorithm, f, adversary, costs).ratio
                 if not forced >= target:
                     entry.append(f"{kind} forced only {harness.ratio_string(forced)}")

@@ -303,6 +303,35 @@ def test_caps_are_enforced():
         parity(40)
 
 
+def test_cheapest_proof_refuses_mismatched_sizes():
+    # AND2 has two variables: each call disagrees with it on one size
+    message = "mismatched sizes between function, costs, and assignment"
+    for n_assignment, n_costs in ((3, 3), (3, 4), (3, 2), (2, 1), (2, 3)):
+        full = PartialAssignment.full_from_index(n_assignment, (1 << n_assignment) - 1)
+        with pytest.raises(ValueError, match=message):
+            cheapest_proof(AND2, full, unit_costs(n_costs))
+    for n_costs in (1, 3, 5):
+        with pytest.raises(ValueError, match="mismatched sizes between function and costs"):
+            cheapest_proof_costs(AND2, unit_costs(n_costs))
+
+
+def test_parity_and_majority_take_under_four_bytes_per_entry():
+    import math
+    import tracemalloc
+
+    n = 20
+    ones = {parity: 1 << n - 1, majority: sum(math.comb(n, k) for k in range(n // 2 + 1, n + 1))}
+    for build, count in ones.items():
+        tracemalloc.start()
+        try:
+            f = build(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << n, (build.__name__, peak / (1 << n))
+        assert np.count_nonzero(f.table) == count
+
+
 def _forced(f, values):
     """The value f takes on every completion of ``values`` (var -> bit), or None."""
     seen = {int(f.table[i]) for i in range(1 << f.n)
@@ -597,7 +626,7 @@ def test_cheapest_proof_needs_no_subcube_table():
 def test_subcube_table_refuses_past_the_proof_cap():
     import tracemalloc
 
-    from pricedbool.harness import competitive_ratio_exhaustive, greedy_strategy
+    from pricedbool.harness import GreedyStrategy, competitive_ratio_exhaustive
     from pricedbool.lp import max_restriction_objective
 
     n = PROOF_ENUM_CAP + 1
@@ -607,7 +636,7 @@ def test_subcube_table_refuses_past_the_proof_cap():
     try:
         # a larger caller cap does not lift the table's own guard
         with pytest.raises(CapExceeded, match=f"n={n} exceeds cap {PROOF_ENUM_CAP}"):
-            competitive_ratio_exhaustive(greedy_strategy(costs), f, costs, cap=20)
+            competitive_ratio_exhaustive(GreedyStrategy(costs), f, costs, cap=20)
         for sweep in (lambda: cheapest_proof_costs(f, costs),
                       lambda: minimal_witness_domains(f),
                       lambda: max_restriction_objective(f, cap=20),

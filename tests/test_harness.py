@@ -23,16 +23,16 @@ from pricedbool.core import (
     unit_costs,
 )
 from pricedbool.harness import (
+    GreedyStrategy,
     _walk,
     adversarial_ratio,
     competitive_ratio_exhaustive,
-    greedy_strategy,
     ratio_of,
     ratio_string,
     run,
 )
-from pricedbool.lp import SwitchAnalysis, lp_guided_strategy, make_switch_family, switch_example
-from pricedbool.quadratic import make_pivot_pairs, maxterm_adversary, pivot_two_phase
+from pricedbool.lp import FamilySpec, LpGuidedStrategy, SwitchAnalysis, switch_example
+from pricedbool.quadratic import PivotPairs, PivotTwoPhase, maxterm_adversary
 from pricedbool.symmetric import SymmetricProfile
 
 MAJ3 = majority(3)
@@ -53,7 +53,7 @@ class _Order:
 def test_run_stops_at_determination():
     # greedy on AND at (1, 0): must read both? no, x0=1 does not settle it
     f = parse_dnf("x0 & x1").function()
-    t = run(greedy_strategy(unit_costs(2)), f, PartialAssignment.of(2, {0: 1, 1: 0}),
+    t = run(GreedyStrategy(unit_costs(2)), f, PartialAssignment.of(2, {0: 1, 1: 0}),
             unit_costs(2))
     assert [r.variable for r in t.reads] == [0, 1]
     assert t.final_value == 0 and t.total_cost == 2
@@ -65,13 +65,13 @@ def test_run_stops_at_determination():
 
 def test_run_skips_nothing_needed():
     f = parse_dnf("x0 & x1").function()
-    t = run(greedy_strategy(unit_costs(2)), f, PartialAssignment.of(2, {0: 0, 1: 1}),
+    t = run(GreedyStrategy(unit_costs(2)), f, PartialAssignment.of(2, {0: 0, 1: 1}),
             unit_costs(2))
     assert [r.variable for r in t.reads] == [0]  # x0=0 settles AND
 
 
 def test_greedy_order_breaks_ties_by_index():
-    alg = greedy_strategy(CostVector.of([3, 1, 1]))
+    alg = GreedyStrategy(CostVector.of([3, 1, 1]))
     assert alg.next_query(0, 0) == 1
     assert alg.next_query(0b010, 0) == 2
     assert alg.next_query(0b010, 0b010) == 2
@@ -100,7 +100,7 @@ def test_ratio_conventions():
 
 
 def test_exhaustive_greedy_on_majority_unit():
-    rep = competitive_ratio_exhaustive(greedy_strategy(unit_costs(3)), MAJ3,
+    rep = competitive_ratio_exhaustive(GreedyStrategy(unit_costs(3)), MAJ3,
                                        unit_costs(3))
     assert rep.ratio == Fraction(3, 2)
     assert rep.algorithm_cost == 3 and rep.proof_cost == 2
@@ -115,7 +115,7 @@ def test_free_variable_left_unread_gives_infinite_ratio():
 
 
 def test_ratio_report_json_is_all_strings():
-    rep = competitive_ratio_exhaustive(greedy_strategy(unit_costs(3)), MAJ3,
+    rep = competitive_ratio_exhaustive(GreedyStrategy(unit_costs(3)), MAJ3,
                                        unit_costs(3))
     out = rep.to_json()
     assert out["ratio"] == "3/2"
@@ -133,7 +133,7 @@ def test_adversary_answers_must_be_consistent():
 
     f = parse_dnf("x0 & x1").function()
     with pytest.raises(ContractViolation, match="finalize"):
-        adversarial_ratio(greedy_strategy(unit_costs(2)), f, Liar(), unit_costs(2))
+        adversarial_ratio(GreedyStrategy(unit_costs(2)), f, Liar(), unit_costs(2))
 
 
 @pytest.mark.parametrize("var", [0, 1, 2])
@@ -146,7 +146,7 @@ def test_finalize_contradicting_one_answer_raises_only_if_it_was_read(var):
         def finalize(self, mask, bits):
             return PartialAssignment.full_from_index(3, 0b111 ^ 1 << var)
 
-    play = (greedy_strategy(unit_costs(3)), MAJ3, FlipOne(), unit_costs(3))
+    play = (GreedyStrategy(unit_costs(3)), MAJ3, FlipOne(), unit_costs(3))
     if var == 2:
         assert adversarial_ratio(*play).worst_assignment.bit_string() == "110"
     else:
@@ -173,19 +173,19 @@ def test_adversarial_ratio_never_beats_exhaustive():
                 return self.full
 
         full = PartialAssignment.full_from_index(4, rng.randrange(16))
-        forced = adversarial_ratio(greedy_strategy(costs), f, Fixed(full), costs)
-        sweep = competitive_ratio_exhaustive(greedy_strategy(costs), f, costs)
+        forced = adversarial_ratio(GreedyStrategy(costs), f, Fixed(full), costs)
+        sweep = competitive_ratio_exhaustive(GreedyStrategy(costs), f, costs)
         assert forced.ratio <= sweep.ratio
-        assert forced.algorithm_cost == run(greedy_strategy(costs), f, full, costs).total_cost
+        assert forced.algorithm_cost == run(GreedyStrategy(costs), f, full, costs).total_cost
 
 
 def _flip_last_adversaries():
     for label, analysis in (("g", SwitchAnalysis(switch_example())),
-                            ("family:1,2", SwitchAnalysis(make_switch_family(1, 2).dnf()))):
+                            ("family:1,2", SwitchAnalysis(FamilySpec(1, 2).dnf()))):
         yield label, analysis.certified_switch()[4]
     for s in (1, 2, 3):
         for charge in ("winners", "survivors"):
-            yield f"fstar:{s} {charge}", maxterm_adversary(make_pivot_pairs(s).function(),
+            yield f"fstar:{s} {charge}", maxterm_adversary(PivotPairs(s).function(),
                                                            charge)[1]
 
 
@@ -227,7 +227,7 @@ def test_adversarial_ratio_rejects_mismatched_costs():
 
     f = parse_dnf("x0 & x1").function()
     with pytest.raises(ValueError, match="mismatched sizes"):
-        adversarial_ratio(greedy_strategy(unit_costs(3)), f, Zeros(), unit_costs(3))
+        adversarial_ratio(GreedyStrategy(unit_costs(3)), f, Zeros(), unit_costs(3))
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +275,7 @@ def test_walk_matches_the_loop_on_every_small_symmetric_profile():
         for code in range(1 << (n + 1)):
             f = SymmetricProfile(tuple(code >> k & 1 for k in range(n + 1))).function()
             for costs in _cost_kinds(n, rng):
-                _assert_walk_matches_loop(greedy_strategy, f, costs)
+                _assert_walk_matches_loop(GreedyStrategy, f, costs)
             count += 1
     assert count == 252
 
@@ -286,15 +286,15 @@ def test_walk_matches_the_loop_on_random_tables():
         n = rng.randint(1, 6)
         f = random_function(rng, n, nonconstant=trial % 10 != 0)
         costs = _cost_kinds(n, rng)[trial % 4]
-        _assert_walk_matches_loop(greedy_strategy, f, costs)
+        _assert_walk_matches_loop(GreedyStrategy, f, costs)
 
 
 def test_walk_matches_the_loop_for_the_two_phase_reader():
     rng = random.Random(73)
     for s in (1, 2, 3):
-        pairs = make_pivot_pairs(s)
+        pairs = PivotPairs(s)
         for costs in _cost_kinds(pairs.n, rng):
-            _assert_walk_matches_loop(lambda c: pivot_two_phase(pairs, c), pairs.function(), costs)
+            _assert_walk_matches_loop(lambda c: PivotTwoPhase(pairs, c), pairs.function(), costs)
 
 
 def test_walk_matches_the_loop_for_the_guided_reader():
@@ -302,16 +302,16 @@ def test_walk_matches_the_loop_for_the_guided_reader():
     for n in range(1, 6):
         for costs in _cost_kinds(n, rng):
             f = random_function(rng, n)
-            _assert_walk_matches_loop(lambda c: lp_guided_strategy(f, c), f, costs)
+            _assert_walk_matches_loop(lambda c: LpGuidedStrategy(f, c), f, costs)
 
 
 def test_walk_on_a_function_without_variables():
     for value in (0, 1):
         f = BooleanFunction([value])
-        rep = competitive_ratio_exhaustive(greedy_strategy(unit_costs(0)), f, unit_costs(0))
+        rep = competitive_ratio_exhaustive(GreedyStrategy(unit_costs(0)), f, unit_costs(0))
         assert rep.ratio == 1 and rep.algorithm_cost == rep.proof_cost == 0
         assert rep.worst_assignment.bit_string() == ""
-        assert _walk(greedy_strategy(unit_costs(0)), f, []) == [0]
+        assert _walk(GreedyStrategy(unit_costs(0)), f, []) == [0]
 
 
 class _Counting:
@@ -328,7 +328,7 @@ class _Counting:
 
 def test_walk_asks_once_per_decision_tree_node():
     for n in range(1, 9):
-        strategy = _Counting(greedy_strategy(unit_costs(n)))
+        strategy = _Counting(GreedyStrategy(unit_costs(n)))
         competitive_ratio_exhaustive(strategy, parity(n), unit_costs(n))
         assert strategy.calls == (1 << n) - 1
     rng = random.Random(75)
@@ -336,7 +336,7 @@ def test_walk_asks_once_per_decision_tree_node():
         n = rng.randint(1, 6)
         f = random_function(rng, n)
         costs = random_cost_vector(n, rng)
-        strategy = _Counting(greedy_strategy(costs))
+        strategy = _Counting(GreedyStrategy(costs))
         competitive_ratio_exhaustive(strategy, f, costs)
         assert 1 <= strategy.calls <= int((f.subcube_table() == 2).sum())
 
@@ -369,7 +369,7 @@ def test_walk_rejects_an_exhausted_replay():
 
 @pytest.mark.parametrize("size", [2, 4])
 def test_walk_rejects_mismatched_costs_before_the_first_query(size):
-    strategy = _Counting(greedy_strategy(unit_costs(3)))
+    strategy = _Counting(GreedyStrategy(unit_costs(3)))
     with pytest.raises(ValueError, match="mismatched sizes"):
         competitive_ratio_exhaustive(strategy, parity(3), unit_costs(size))
     assert strategy.calls == 0
@@ -381,7 +381,7 @@ def test_walk_leaves_no_cyclic_garbage():
     gc.collect()
     gc.disable()
     try:
-        competitive_ratio_exhaustive(greedy_strategy(unit_costs(5)), majority(5),
+        competitive_ratio_exhaustive(GreedyStrategy(unit_costs(5)), majority(5),
                                      unit_costs(5))
         assert gc.collect() == 0
     finally:

@@ -25,21 +25,21 @@ from pricedbool.core import (
     random_function,
     table_to_text,
 )
-from pricedbool.harness import competitive_ratio_exhaustive, greedy_strategy
+from pricedbool.harness import GreedyStrategy, competitive_ratio_exhaustive
 from pricedbool.lp import (
+    FamilySpec,
+    LpGuidedStrategy,
     ProofLp,
     SwitchAnalysis,
     _certify,
     build_lp,
-    lp_guided_strategy,
     lp_objective,
     lp_solution,
-    make_switch_family,
     max_restriction_objective,
     solve_lp,
     switch_example,
 )
-from pricedbool.quadratic import make_pivot_pairs
+from pricedbool.quadratic import PivotPairs
 from pricedbool.verify import _monotone_battery
 
 F = Fraction
@@ -126,7 +126,7 @@ def _gate_functions():
     for n in range(3, 8):
         yield majority(n)
     for k, t in ((1, 2), (2, 1)):
-        yield make_switch_family(k, t).function()
+        yield FamilySpec(k, t).function()
 
 
 def test_lp_solution_bytes_are_pinned():
@@ -186,7 +186,7 @@ def test_sweep_on_the_switch_example():
 
 def test_sweep_on_switch_families():
     for k, t in ((1, 1), (1, 2), (2, 1)):
-        fam = make_switch_family(k, t)
+        fam = FamilySpec(k, t)
         f = fam.function()
         assert max_restriction_objective(f) == k + t
         assert max_proof_size(f) == t * fam.slot_count
@@ -222,7 +222,7 @@ def _sweep_battery():
         yield random_function(rng, n)
     yield switch_example().function()
     yield majority(5)
-    yield make_switch_family(1, 2).function()
+    yield FamilySpec(1, 2).function()
 
 
 def test_pruned_sweep_matches_the_unpruned_one():
@@ -270,14 +270,14 @@ def test_guided_reader_parity_is_optimal():
     rng = random.Random(35)
     for n in (2, 3, 4):
         costs = random_cost_vector(n, rng, positive=True)
-        rep = competitive_ratio_exhaustive(lp_guided_strategy(parity(n), costs),
+        rep = competitive_ratio_exhaustive(LpGuidedStrategy(parity(n), costs),
                                            parity(n), costs)
         assert rep.ratio == 1
 
 
 def test_guided_reader_reads_free_variables_first():
     costs = CostVector.of([5, 0, 7])
-    alg = lp_guided_strategy(majority(3), costs)
+    alg = LpGuidedStrategy(majority(3), costs)
     assert alg.next_query(0, 0) == 1
 
 
@@ -288,13 +288,13 @@ def test_guided_reader_stays_within_the_sweep_value():
         delta = max_restriction_objective(f)
         for _ in range(3):
             costs = random_cost_vector(f.n, rng)
-            rep = competitive_ratio_exhaustive(lp_guided_strategy(f, costs), f, costs)
+            rep = competitive_ratio_exhaustive(LpGuidedStrategy(f, costs), f, costs)
             assert rep.ratio <= delta
 
 
 def _guided_reads(f, costs):
     """The guided reader's read at every node of its decision tree, by (mask, bits)."""
-    walked = lp_guided_strategy(f, costs)
+    walked = LpGuidedStrategy(f, costs)
     reads, stack = {}, [PartialAssignment(f.n)]
     while stack:
         part = stack.pop()
@@ -358,7 +358,7 @@ def test_guided_reader_asked_out_of_order_reads_the_same_variables():
         f = random_function(rng, n)
         costs = random_cost_vector(n, rng)
         reads = _guided_reads(f, costs)
-        fresh = lp_guided_strategy(f, costs)
+        fresh = LpGuidedStrategy(f, costs)
         for mask, bits in sorted(reads, key=lambda state: state[0].bit_count(), reverse=True):
             assert fresh.next_query(mask, bits) == reads[mask, bits], (f, costs, mask, bits)
         asked += len(reads)
@@ -372,7 +372,7 @@ def test_guided_reader_refuses_a_state_its_reads_never_reach():
         f = random_function(rng, n, nonconstant=True)
         costs = random_cost_vector(n, rng)
         reads = _guided_reads(f, costs)
-        fresh = lp_guided_strategy(f, costs)
+        fresh = LpGuidedStrategy(f, costs)
         for mask in range(1, 1 << n):
             for bits in range(1 << n):
                 if bits & ~mask or (mask, bits) in reads:
@@ -394,11 +394,11 @@ def test_guided_reader_charges_survive_a_luring_chain():
     # sweep value; charging residuals keeps the total at 823/10
     delta = max_restriction_objective(TRICKY)
     assert delta == 2
-    rep = competitive_ratio_exhaustive(lp_guided_strategy(TRICKY, TRICKY_COSTS),
+    rep = competitive_ratio_exhaustive(LpGuidedStrategy(TRICKY, TRICKY_COSTS),
                                        TRICKY, TRICKY_COSTS)
     assert rep.ratio == F(823, 440)
     assert rep.ratio <= delta
-    greedy = competitive_ratio_exhaustive(greedy_strategy(TRICKY_COSTS),
+    greedy = competitive_ratio_exhaustive(GreedyStrategy(TRICKY_COSTS),
                                           TRICKY, TRICKY_COSTS)
     assert greedy.ratio == F(973, 440) > delta
 
@@ -428,9 +428,9 @@ def _random_dnf(rng):
 
 def _switch_battery():
     yield switch_example()
-    yield make_pivot_pairs(2).dnf()
+    yield PivotPairs(2).dnf()
     for k, t in ((1, 1), (1, 2), (2, 1), (2, 2)):
-        yield make_switch_family(k, t).dnf()
+        yield FamilySpec(k, t).dnf()
     rng = random.Random(24)
     for _ in range(1000):
         yield _random_dnf(rng)
@@ -476,7 +476,7 @@ def test_mixed_solution_is_feasible_and_small():
 
 def test_certified_switch_oracles():
     assert SwitchAnalysis(switch_example()).certified_switch()[:3] == ((0,), (0, 1), "minterm")
-    assert SwitchAnalysis(make_switch_family(2, 1).dnf()).certified_switch()[:3] == \
+    assert SwitchAnalysis(FamilySpec(2, 1).dnf()).certified_switch()[:3] == \
         ((0, 0), (0,), "minterm")
 
 
@@ -494,7 +494,7 @@ def test_switch_adversary_forces_the_target():
         assert certified_side == side
         assert analysis.switches == (4,)
         target = len(analysis.switches) + analysis.proof_size
-        for alg in (greedy_strategy(costs), lp_guided_strategy(g, costs)):
+        for alg in (GreedyStrategy(costs), LpGuidedStrategy(g, costs)):
             rep = adversarial_ratio(alg, g, adversary, costs)
             assert rep.ratio >= target
         # and the sweep value meets it from above, certifying equality
@@ -526,7 +526,7 @@ def test_constant_branches_certify_inside_every_set():
 def test_z_free_proofs_decompose_into_branch_minterms():
     _assert_decomposition(switch_example(), [4])
     for k, t in ((1, 2), (2, 1)):
-        fam = make_switch_family(k, t)
+        fam = FamilySpec(k, t)
         _assert_decomposition(fam.dnf(), list(fam.switch_variables))
 
 
@@ -601,7 +601,7 @@ def test_restriction_sweep_folds_one_subcube_table(monkeypatch):
     # an empty cache, so every distinct restriction builds its program
     monkeypatch.setattr(lp, "_OBJECTIVE_CACHE", {})
     rng = random.Random(43)
-    functions = [make_switch_family(1, 2).function(), switch_example().function(),
+    functions = [FamilySpec(1, 2).function(), switch_example().function(),
                  majority(5)] + [random_function(rng, n) for n in (3, 4, 5, 6)]
     for f in functions:
         folds.clear()
@@ -644,7 +644,7 @@ def test_guided_reader_past_the_proof_cap_reads_free_variables(monkeypatch):
     # restriction is not, so the reader goes on as before
     n = core.PROOF_ENUM_CAP + 1
     monkeypatch.setattr(lp, "_SOLUTION_CACHE", {})
-    alg = lp_guided_strategy(parity(n), CostVector.of([0, 0] + [1] * (n - 2)))
+    alg = LpGuidedStrategy(parity(n), CostVector.of([0, 0] + [1] * (n - 2)))
     mask = 0
     for expected in (0, 1, 2):
         assert alg.next_query(mask, mask) == expected

@@ -15,29 +15,29 @@ from pricedbool.core import (
     unit_costs,
 )
 from pricedbool.harness import (
+    GreedyStrategy,
     adversarial_ratio,
     competitive_ratio_exhaustive,
-    greedy_strategy,
     run,
 )
-from pricedbool.lp import lp_guided_strategy
+from pricedbool.lp import LpGuidedStrategy
 from pricedbool.quadratic import (
+    PivotPairs,
+    PivotTwoPhase,
     certificate_sizes,
-    make_pivot_pairs,
     maxterm_adversary,
     maxterm_analysis,
-    pivot_two_phase,
     random_quadratic,
 )
 
 
 def test_certificate_sizes_on_pivot_pairs():
-    f = make_pivot_pairs(2).function()
+    f = PivotPairs(2).function()
     assert certificate_sizes(f) == (2, 4)
 
 
 def test_analysis_on_pivot_pairs():
-    a = maxterm_analysis(make_pivot_pairs(2).function())
+    a = maxterm_analysis(PivotPairs(2).function())
     assert [lit.text() for lit in a.maxterm] == ["x0", "x1", "x2", "x3"]
     assert a.local_winners == frozenset()
     assert {lit.text() for lit in a.survivors} == {"x2", "x3"}
@@ -71,7 +71,7 @@ def test_adversary_forces_a_third_of_the_maxterm():
         _, f = random_quadratic(rng, max_n=6)
         _, ell = certificate_sizes(f)
         target = Fraction(ell, 3)
-        for build in (greedy_strategy, lambda c: lp_guided_strategy(f, c)):
+        for build in (GreedyStrategy, lambda c: LpGuidedStrategy(f, c)):
             best = Fraction(0)
             for charge in ("winners", "survivors"):
                 try:
@@ -85,18 +85,18 @@ def test_adversary_forces_a_third_of_the_maxterm():
 
 
 def test_pivot_pairs_layout():
-    pairs = make_pivot_pairs(3)
+    pairs = PivotPairs(3)
     assert pairs.n == 7 and pairs.pivot == 6
     assert pairs.group_one == (0, 1, 2) and pairs.group_two == (3, 4, 5)
     assert pairs.dnf().text() == ("x0 & x6 | x1 & x6 | x2 & x6 | "
                                   "x3 & !x6 | x4 & !x6 | x5 & !x6")
     with pytest.raises(ValueError):
-        make_pivot_pairs(0)
+        PivotPairs(0)
 
 
 def test_two_phase_trace_on_unit_costs():
-    pairs = make_pivot_pairs(1)
-    t = run(pivot_two_phase(pairs, unit_costs(3)), pairs.function(),
+    pairs = PivotPairs(1)
+    t = run(PivotTwoPhase(pairs, unit_costs(3)), pairs.function(),
             PartialAssignment.of(3, {0: 1, 1: 0, 2: 0}), unit_costs(3))
     # x0=1 discards the rest of group one; x1 and the pivot follow
     assert [r.variable for r in t.reads] == [0, 1, 2]
@@ -104,8 +104,8 @@ def test_two_phase_trace_on_unit_costs():
 
 
 def test_two_phase_worst_ratio_on_unit_costs():
-    pairs = make_pivot_pairs(1)
-    rep = competitive_ratio_exhaustive(pivot_two_phase(pairs, unit_costs(3)),
+    pairs = PivotPairs(1)
+    rep = competitive_ratio_exhaustive(PivotTwoPhase(pairs, unit_costs(3)),
                                        pairs.function(), unit_costs(3))
     assert rep.ratio == Fraction(3, 2)
 
@@ -113,17 +113,17 @@ def test_two_phase_worst_ratio_on_unit_costs():
 def test_two_phase_within_s_plus_one():
     rng = random.Random(23)
     for s in (1, 2, 3):
-        pairs = make_pivot_pairs(s)
+        pairs = PivotPairs(s)
         for _ in range(8):
             costs = random_cost_vector(pairs.n, rng)
-            rep = competitive_ratio_exhaustive(pivot_two_phase(pairs, costs),
+            rep = competitive_ratio_exhaustive(PivotTwoPhase(pairs, costs),
                                                pairs.function(), costs)
             assert rep.ratio <= s + 1
 
 
 def test_two_phase_rejects_mismatched_costs():
     with pytest.raises(ValueError):
-        pivot_two_phase(make_pivot_pairs(2), unit_costs(3))
+        PivotTwoPhase(PivotPairs(2), unit_costs(3))
 
 
 class _HistoryTwoPhase:
@@ -155,12 +155,12 @@ def test_two_phase_reads_as_the_history_reader_at_every_node():
     rng = random.Random(41)
     nodes = 0
     for s in (1, 2, 3, 4):
-        pairs = make_pivot_pairs(s)
+        pairs = PivotPairs(s)
         f = pairs.function()
         kinds = [random_cost_vector(pairs.n, rng) for _ in range(8)] + [unit_costs(pairs.n)]
         kinds += [CostVector.of(rng.choice((0, 1, 2)) for _ in range(pairs.n)) for _ in range(8)]
         for costs in kinds:
-            old, new = _HistoryTwoPhase(pairs, costs), pivot_two_phase(pairs, costs)
+            old, new = _HistoryTwoPhase(pairs, costs), PivotTwoPhase(pairs, costs)
             stack = [((), PartialAssignment(pairs.n))]
             while stack:
                 history, part = stack.pop()
@@ -173,7 +173,7 @@ def test_two_phase_reads_as_the_history_reader_at_every_node():
 
 
 def test_two_phase_with_nothing_left_to_read_is_a_contract_violation():
-    pairs = make_pivot_pairs(1)
-    strategy = pivot_two_phase(pairs, unit_costs(3))
+    pairs = PivotPairs(1)
+    strategy = PivotTwoPhase(pairs, unit_costs(3))
     with pytest.raises(ContractViolation, match="no variable left"):
         strategy.next_query(0b111, 0)

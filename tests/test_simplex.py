@@ -10,7 +10,7 @@ import pytest
 
 from pricedbool import simplex
 from pricedbool.core import BooleanFunction, majority, random_function
-from pricedbool.lp import build_lp, make_switch_family, solve_lp, switch_example
+from pricedbool.lp import FamilySpec, build_lp, solve_lp, switch_example
 from pricedbool.simplex import simplex_max
 from pricedbool.verify import _monotone_battery
 
@@ -358,7 +358,7 @@ def _refinement_battery():
     for n in range(3, 7):
         yield majority(n)
     for k, t in ((1, 1), (1, 2), (2, 1)):
-        yield make_switch_family(k, t).function()
+        yield FamilySpec(k, t).function()
     yield switch_example().function()
 
 

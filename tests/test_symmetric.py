@@ -15,7 +15,7 @@ from pricedbool.core import (
     random_cost_vector,
     unit_costs,
 )
-from pricedbool.harness import adversarial_ratio, competitive_ratio_exhaustive, greedy_strategy
+from pricedbool.harness import GreedyStrategy, adversarial_ratio, competitive_ratio_exhaustive
 from pricedbool.symmetric import (
     SymmetricProfile,
     blocks,
@@ -77,7 +77,7 @@ def test_formula_equals_exhaustive_greedy():
         if p.is_constant() is not None:
             continue
         costs = random_cost_vector(n, rng)
-        rep = competitive_ratio_exhaustive(greedy_strategy(costs), p.function(), costs)
+        rep = competitive_ratio_exhaustive(GreedyStrategy(costs), p.function(), costs)
         assert rep.ratio == ratio_formula(p, costs)
 
 
@@ -102,7 +102,7 @@ def test_adversary_forces_the_formula_on_greedy():
     for bits in ("0011", "0111", "00101", "1100", "011110"):
         p = SymmetricProfile.from_string(bits)
         costs = random_cost_vector(p.n, rng, positive=True)
-        rep = adversarial_ratio(greedy_strategy(costs), p.function(),
+        rep = adversarial_ratio(GreedyStrategy(costs), p.function(),
                                 symmetric_adversary(p, costs), costs)
         assert rep.ratio == ratio_formula(p, costs), bits
 
@@ -111,7 +111,7 @@ def test_adversary_handles_the_mirrored_profile():
     # widest block touches the all-ones count: the flipped construction runs
     p = SymmetricProfile.from_string("0111")
     costs = unit_costs(3)
-    rep = adversarial_ratio(greedy_strategy(costs), p.function(),
+    rep = adversarial_ratio(GreedyStrategy(costs), p.function(),
                             symmetric_adversary(p, costs), costs)
     assert rep.ratio == ratio_formula(p, costs) == 3
 
